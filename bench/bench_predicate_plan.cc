@@ -1,19 +1,17 @@
-// §4.1 predicate planner: cardinality-ordered intersection plans vs the
-// fixed metric→application candidate merge.
+// §4.1 scope index on compound predicates: ShapeIndex's size-ordered
+// intersection vs the linear scan.
 //
-// The workload is the planner's motivating shape: a large multi-tenant
-// deployment where thousands of subscopes share a handful of hot metric
-// names but are selective on their application. The legacy fixed-order
-// path unions the (huge) metric bucket with the (tiny) application bucket
-// and runs the full predicate over every candidate; the planner probes the
-// application posting first and intersects outward, so the candidate set
+// The workload is a large multi-tenant deployment where thousands of
+// subscopes share a handful of hot metric names but are selective on
+// their application. A lookup intersects outward from the smallest
+// posting it probes — here the application's — so the candidate set
 // collapses to the handful of subscopes that can actually match. The
-// `scope_matching_plan` entry in BENCH_event_routing.json tracks
-// planned-vs-fixed-order speedup (≥2× required; scripts/bench.sh gates).
+// `scope_matching_plan` entry in BENCH_event_routing.json tracks the
+// indexed-vs-linear speedup (≥5× required; scripts/bench.sh gates).
 //
-// Both paths return byte-identical keys — verified here against the
-// linear-scan oracle before timing starts, and continuously by the
-// tests/plan/ equivalence suite.
+// The indexed path returns byte-identical keys to the linear-scan oracle —
+// verified here before timing starts, and continuously by the tests/plan/
+// equivalence suite.
 
 #include <benchmark/benchmark.h>
 
@@ -45,9 +43,8 @@ orca::OperatorMetricScope MakePlanScope(int i, int apps) {
   return scope;
 }
 
-orca::ScopeRegistry MakeRegistry(int scopes, int apps, bool planner) {
+orca::ScopeRegistry MakeRegistry(int scopes, int apps) {
   orca::ScopeRegistry registry;
-  registry.set_predicate_planner(planner);
   for (int i = 0; i < scopes; ++i) {
     registry.Register(MakePlanScope(i, apps));
   }
@@ -72,58 +69,34 @@ std::vector<orca::OperatorMetricContext> MakeSamples(int samples, int apps) {
   return contexts;
 }
 
-/// One-time identity check: the planned path must return byte-identical
+/// One-time identity check: the indexed path must return byte-identical
 /// keys to the linear oracle on this exact workload, or the speedup being
 /// measured is meaningless.
-bool VerifyPlannedIdentity(const orca::ScopeRegistry& planned,
+bool VerifyIndexedIdentity(const orca::ScopeRegistry& registry,
                            const std::vector<orca::OperatorMetricContext>&
                                samples,
                            const orca::GraphView& view) {
   for (const auto& context : samples) {
-    if (planned.MatchedKeys(context, view) !=
-        planned.MatchedKeysLinear(context, view)) {
+    if (registry.MatchedKeys(context, view) !=
+        registry.MatchedKeysLinear(context, view)) {
       return false;
     }
   }
   return true;
 }
 
-/// Planned path: per-shape ordered intersection (application probed
-/// first under this workload's cardinalities).
+/// Indexed path: per-shape intersection from the smallest probed posting
+/// (the application's under this workload).
 void BM_PlanMatchPlanned(benchmark::State& state) {
   const int scopes = static_cast<int>(state.range(0));
   const int apps = static_cast<int>(state.range(1));
-  auto registry = MakeRegistry(scopes, apps, /*planner=*/true);
+  auto registry = MakeRegistry(scopes, apps);
   auto samples = MakeSamples(static_cast<int>(state.range(2)), apps);
   orca::GraphView view;
-  if (!VerifyPlannedIdentity(registry, samples, view)) {
-    state.SkipWithError("planned keys diverge from MatchedKeysLinear");
+  if (!VerifyIndexedIdentity(registry, samples, view)) {
+    state.SkipWithError("indexed keys diverge from MatchedKeysLinear");
     return;
   }
-  size_t matched_total = 0;
-  for (auto _ : state) {
-    for (const auto& context : samples) {
-      auto keys = registry.MatchedKeys(context, view);
-      matched_total += keys.size();
-      benchmark::DoNotOptimize(keys);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(samples.size()));
-  auto stats = registry.plan_stats();
-  state.SetLabel("matched=" + std::to_string(matched_total) +
-                 " planned=" + std::to_string(stats.planned_lookups) +
-                 " fallback=" + std::to_string(stats.fallback_lookups));
-}
-
-/// Fixed-order path: the legacy metric→application→residual candidate
-/// merge (planner disabled), identical results.
-void BM_PlanMatchFixedOrder(benchmark::State& state) {
-  const int scopes = static_cast<int>(state.range(0));
-  const int apps = static_cast<int>(state.range(1));
-  auto registry = MakeRegistry(scopes, apps, /*planner=*/false);
-  auto samples = MakeSamples(static_cast<int>(state.range(2)), apps);
-  orca::GraphView view;
   size_t matched_total = 0;
   for (auto _ : state) {
     for (const auto& context : samples) {
@@ -137,12 +110,11 @@ void BM_PlanMatchFixedOrder(benchmark::State& state) {
   state.SetLabel("matched=" + std::to_string(matched_total));
 }
 
-/// Linear-scan reference over the same population (context for how much
-/// of the gap indexing closes before planning even starts).
+/// Linear-scan reference over the same population (the gated baseline).
 void BM_PlanMatchLinear(benchmark::State& state) {
   const int scopes = static_cast<int>(state.range(0));
   const int apps = static_cast<int>(state.range(1));
-  auto registry = MakeRegistry(scopes, apps, /*planner=*/false);
+  auto registry = MakeRegistry(scopes, apps);
   auto samples = MakeSamples(static_cast<int>(state.range(2)), apps);
   orca::GraphView view;
   size_t matched_total = 0;
@@ -158,15 +130,13 @@ void BM_PlanMatchLinear(benchmark::State& state) {
   state.SetLabel("matched=" + std::to_string(matched_total));
 }
 
-/// Plan maintenance under churn: every round retires 16 subscopes and
-/// registers 16 replacements (each Register/Unregister re-Prepares dirty
-/// groups) before routing the burst — planner on vs off under identical
-/// mutations, so the compile overhead is priced in.
-template <bool kPlanner>
-void PlanChurnLoop(benchmark::State& state) {
+/// Index maintenance under churn: every round retires 16 subscopes and
+/// registers 16 replacements before routing the burst, so posting upkeep
+/// and compaction are priced in.
+void BM_PlanChurnPlanned(benchmark::State& state) {
   const int scopes = static_cast<int>(state.range(0));
   const int apps = static_cast<int>(state.range(1));
-  auto registry = MakeRegistry(scopes, apps, kPlanner);
+  auto registry = MakeRegistry(scopes, apps);
   auto samples = MakeSamples(static_cast<int>(state.range(2)), apps);
   orca::GraphView view;
   int next_dead = 0;
@@ -185,37 +155,21 @@ void PlanChurnLoop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(samples.size()));
-  std::string label = "matched=" + std::to_string(matched_total);
-  if (kPlanner) {
-    label += " replans=" + std::to_string(registry.plan_stats().replans);
-  }
-  state.SetLabel(label);
-}
-
-void BM_PlanChurnPlanned(benchmark::State& state) {
-  PlanChurnLoop<true>(state);
-}
-
-void BM_PlanChurnFixedOrder(benchmark::State& state) {
-  PlanChurnLoop<false>(state);
+  state.SetLabel("matched=" + std::to_string(matched_total));
 }
 
 }  // namespace
 
 // Args: {registered subscopes, applications, samples per round}. The
 // 8000-subscope / 2000-app case is the `scope_matching_plan` target in
-// BENCH_event_routing.json: hot metric buckets hold ~2000 candidates while
-// application buckets hold ~4, so probe order is the whole game.
+// BENCH_event_routing.json: hot metric postings hold ~2000 entries while
+// application postings hold ~4, so probe order is the whole game.
 BENCHMARK(BM_PlanMatchPlanned)
-    ->Args({2000, 500, 2000})
-    ->Args({8000, 2000, 2000});
-BENCHMARK(BM_PlanMatchFixedOrder)
     ->Args({2000, 500, 2000})
     ->Args({8000, 2000, 2000});
 BENCHMARK(BM_PlanMatchLinear)->Args({8000, 2000, 2000});
 
-// Churn variant at the target scale (plan recompiles priced in).
+// Churn variant at the target scale (index upkeep priced in).
 BENCHMARK(BM_PlanChurnPlanned)->Args({8000, 2000, 2000});
-BENCHMARK(BM_PlanChurnFixedOrder)->Args({8000, 2000, 2000});
 
 BENCHMARK_MAIN();

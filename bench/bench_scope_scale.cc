@@ -10,7 +10,9 @@
 //     MaybeRebalance split hot shards between rounds. Matching is
 //     ~throughput-neutral on a single core — the honest signal is the
 //     hot-shard load share (hot_shard_share counter), which resharding
-//     must push toward 1/shards.
+//     must push toward 1/shards. The bytes_per_subscope counter records
+//     the heap growth (glibc mallinfo2) of registering the population,
+//     divided by its size.
 //
 //   - BM_ZipfDelivery{Unweighted,Weighted}: the same skew through the
 //     async EventBus on a ThreadPoolExecutor, recording *per-delivery
@@ -21,6 +23,7 @@
 //     (`scope_matching_zipf` in BENCH_event_routing.json).
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
@@ -96,6 +99,13 @@ std::vector<orca::OperatorMetricContext> MakeZipfSamples(
   return contexts;
 }
 
+/// Bytes the program holds on the heap (glibc): arena chunks in use plus
+/// mmap-ed chunks, which hold the large vectors the arena total omits.
+size_t HeapInUse() {
+  struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
 // --- Matching: sticky hash placement vs dynamic resharding -----------------
 
 /// Args: {shards, samples per SRM round}. Registers the full 1M-subscope
@@ -118,7 +128,9 @@ void ZipfMatchLoop(benchmark::State& state) {
   policy.max_moves_per_round = 4;
   registry.set_reshard_policy(policy);
   if (kRebalance) registry.set_max_shards(shards * 2);
+  const size_t heap_before = HeapInUse();
   for (int i = 0; i < kScopes; ++i) registry.Register(MakeScaleScope(i));
+  const size_t heap_after = HeapInUse();
   auto cdf = ZipfCdf(kApps, kZipfS);
   auto samples =
       MakeZipfSamples(static_cast<int>(state.range(1)), cdf, /*seed=*/29);
@@ -156,6 +168,8 @@ void ZipfMatchLoop(benchmark::State& state) {
     state.counters["hot_shard_share"] =
         static_cast<double>(max_matches) / static_cast<double>(total_matches);
   }
+  state.counters["bytes_per_subscope"] =
+      static_cast<double>(heap_after - heap_before) / kScopes;
   state.counters["shards"] = static_cast<double>(registry.shard_count());
   state.counters["reshards"] = static_cast<double>(registry.reshard_count());
   state.counters["migrated"] =

@@ -244,7 +244,7 @@ class EventBus {
   // them during ThreadPoolExecutor runs without taking the bus lock (and
   // without TSan findings).
   uint64_t events_delivered() const {
-    return events_delivered_.load(std::memory_order_relaxed);
+    return events_delivered_.load(std::memory_order_acquire);
   }
   /// Total undelivered events across all queues.
   size_t queue_depth() const {

@@ -71,7 +71,6 @@ OrcaService::OrcaService(sim::Simulation* sim, runtime::Sam* sam,
   parallel.min_samples = config_.parallel_match_min_samples;
   parallel.min_busy_shards = config_.parallel_match_min_busy_shards;
   scopes_.set_parallel_policy(parallel);
-  scopes_.set_predicate_planner(config_.predicate_planner);
   RefreshSnapshot();
 }
 

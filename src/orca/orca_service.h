@@ -115,15 +115,6 @@ class OrcaService : private runtime::EventSink {
     /// and minimum busy shards before worker threads are spawned.
     size_t parallel_match_min_samples = 64;
     size_t parallel_match_min_busy_shards = 2;
-    /// Predicate planner (src/plan/): compile each registered predicate
-    /// shape into an ordered intersection plan over the live-cardinality
-    /// posting indexes instead of the fixed metric→application merge.
-    /// Match results are byte-identical either way (the planner produces
-    /// a candidate superset and every candidate is re-checked); this only
-    /// changes lookup cost under selective filters. Plans are re-compiled
-    /// automatically on registration churn, retirement, compaction, and
-    /// shard migration (see plan_stats()).
-    bool predicate_planner = true;
     /// Remote event plane (src/net/): when set, Load registers this sink
     /// with SAM instead of the service itself, so PE failure
     /// notifications leave the runtime through the transport and come
@@ -348,9 +339,8 @@ class OrcaService : private runtime::EventSink {
   uint64_t reshard_count() const { return scopes_.reshard_count(); }
   uint64_t migrated_subscopes() const { return scopes_.migrated_subscopes(); }
 
-  // Predicate-planner observability: compile/replan and
-  // planned-vs-fallback lookup counters summed across all shards (see
-  // plan::PlanStats). Zeroes when Config::predicate_planner is false.
+  // Retired planner counters, all-zero (see plan::PlanStats); kept only
+  // because the pipeline benchmark still reads them.
   plan::PlanStats plan_stats() const { return scopes_.plan_stats(); }
 
   // Reaction-latency observability (the paper's Figs 7–10 metric): one

@@ -1,9 +1,7 @@
 #ifndef ORCASTREAM_ORCA_SCOPE_REGISTRY_H_
 #define ORCASTREAM_ORCA_SCOPE_REGISTRY_H_
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <variant>
@@ -31,17 +29,16 @@ struct SeqKey {
 /// "which subscope keys does this event match?".
 ///
 /// Instead of testing each event against every registered subscope (the
-/// seed's linear scan), the registry builds inverted indexes keyed by the
-/// cheap discriminating attributes — metric name, application name,
-/// user-event name, PE id. Each subscope is indexed under exactly one
-/// attribute (the cheapest one it filters on); subscopes with no indexable
-/// filter live in a small always-checked residual set. A lookup gathers
-/// the candidate subscopes from the relevant index buckets plus the
-/// residual set and only runs the full match predicates
-/// (MatchOperatorMetric etc.) against those, so the result — including the
-/// registration order of the returned keys — is identical to the linear
-/// scan, which is preserved as the *Linear reference path for equivalence
-/// tests and benchmarks.
+/// seed's linear scan), each scope type's store keeps one plan::ShapeIndex
+/// over the cheap discriminating attributes its subscopes filter on:
+/// metric name, application and operator name for operator metrics;
+/// metric name, PE id and application for PE metrics; application for PE
+/// failures and job events; name for user events. A lookup collects the
+/// candidate subscopes from the index and only runs the full match
+/// predicates (MatchOperatorMetric etc.) against those, so the result —
+/// including the registration order of the returned keys — is identical to
+/// the linear scan, which is preserved as the *Linear reference path for
+/// equivalence tests and benchmarks.
 ///
 /// Registration is a managed lifecycle, not append-only: the paper's
 /// registerEventScope is a dynamic call (orchestration logic registers
@@ -49,9 +46,9 @@ struct SeqKey {
 /// fresh start event, §7), so scopes can also be *unregistered* — either
 /// individually by key, or wholesale by retiring the *generation* the
 /// owning logic registered them under. Removal tombstones the stored slot
-/// (index buckets keep the dead position and lookups skip it); once dead
+/// (the index keeps the dead position and lookups skip it); once dead
 /// slots pass a threshold the affected store is compacted — slots are
-/// renumbered preserving registration order and the indexes rebuilt — so
+/// renumbered preserving registration order and the index rebuilt — so
 /// `MatchedKeys` stays allocation-light under arbitrary register/unregister
 /// churn while remaining byte-identical to `MatchedKeysLinear`.
 class ScopeRegistry {
@@ -185,58 +182,6 @@ class ScopeRegistry {
   std::vector<std::string> MatchedKeysLinear(
       const UserEventContext& context) const;
 
-  // --- Predicate planner (src/plan/) --------------------------------------
-
-  /// Enables planned evaluation for the metric match paths: compound
-  /// predicates are grouped by shape (the set of indexable attributes
-  /// they filter on) and each lookup runs the shape's compiled
-  /// intersection plan — probe the smallest estimated bucket first,
-  /// intersect outward, short-circuit on empty — instead of the
-  /// fixed-order union-then-filter merge. Results are byte-identical to
-  /// MatchedKeysLinear either way (the full predicates re-run over every
-  /// candidate); when the skew guard distrusts a plan's estimates the
-  /// lookup silently falls back to the fixed-order merge. Enabling on a
-  /// populated registry rebuilds the plan indexes from the live slots.
-  void set_predicate_planner(bool enabled);
-  bool predicate_planner() const { return operator_metric_plan_ != nullptr; }
-
-  /// Skew-guard tuning; takes effect immediately (rebuilds the plan
-  /// indexes when the planner is enabled).
-  void set_planner_policy(const plan::PlannerPolicy& policy);
-
-  /// Combined planner counters of both metric shape indexes.
-  plan::PlanStats plan_stats() const;
-
-  /// The shape indexes themselves (tests inspect compiled plans).
-  const plan::ShapeIndex* operator_metric_plan() const {
-    return operator_metric_plan_.get();
-  }
-  const plan::ShapeIndex* pe_metric_plan() const {
-    return pe_metric_plan_.get();
-  }
-
-  // --- Index cardinality introspection ------------------------------------
-
-  /// Live-vs-tombstoned cardinality of one inverted index, maintained
-  /// incrementally at register/unregister/retire/compaction time — no
-  /// scan. `buckets` counts the distinct indexed values right now;
-  /// `entries` counts posting entries including tombstoned ones (they
-  /// stay in the buckets until the owning store compacts); `live` counts
-  /// entries whose slot is still live. After a compaction rebuilds a
-  /// store's indexes, its entries == live (dead() == 0), reconciling with
-  /// the store contributing nothing to dead_count().
-  struct IndexCardinality {
-    const char* index = "";
-    size_t buckets = 0;
-    size_t entries = 0;
-    size_t live = 0;
-
-    size_t dead() const { return entries - live; }
-  };
-  /// One entry per inverted index (residual sets included), in a fixed
-  /// order.
-  std::vector<IndexCardinality> index_stats() const;
-
   // --- Tombstone / compaction introspection (tests, benches) -------------
 
   /// Tombstoned slots not yet reclaimed by compaction, across all stores.
@@ -253,12 +198,8 @@ class ScopeRegistry {
   size_t compaction_threshold() const { return compaction_threshold_; }
 
  private:
-  using Bucket = std::vector<uint32_t>;
-  using StringIndex = std::unordered_map<std::string, Bucket>;
-  using PeIndex = std::unordered_map<int64_t, Bucket>;
-
   /// One stored subscope. Unregistration tombstones the slot in place
-  /// (live = false) so index bucket positions stay valid until the next
+  /// (live = false) so index positions stay valid until the next
   /// compaction renumbers them.
   template <typename Scope>
   struct Slot {
@@ -268,11 +209,12 @@ class ScopeRegistry {
     bool live = true;
   };
 
-  /// Per-scope-type storage: the slots in registration order plus the
-  /// count of tombstoned slots awaiting compaction.
+  /// Per-scope-type storage: the slots in registration order, the index
+  /// over them, and the count of tombstoned slots awaiting compaction.
   template <typename Scope>
   struct Store {
     std::vector<Slot<Scope>> slots;
+    plan::ShapeIndex index;
     size_t dead = 0;
 
     size_t live_count() const { return slots.size() - dead; }
@@ -291,177 +233,47 @@ class ScopeRegistry {
     uint32_t position;
   };
 
-  /// Candidate subscope positions for an event: the union of the relevant
-  /// index buckets and the residual set, deduplicated and restored to
-  /// registration order. Tombstoned positions are filtered later, at match
-  /// time.
-  static std::vector<uint32_t> GatherCandidates(
-      std::initializer_list<const Bucket*> buckets);
-  static const Bucket* Lookup(const StringIndex& index,
-                              const std::string& key);
-  static const Bucket* Lookup(const PeIndex& index, common::PeId pe);
+  /// Calls fn(store, type) on each of the five stores.
+  template <typename Self, typename Fn>
+  static void ForEachStore(Self& self, Fn&& fn);
+  /// Calls fn(store) on the store of `type`.
+  template <typename Self, typename Fn>
+  static void WithStore(Self& self, ScopeType type, Fn&& fn);
 
-  /// Identifies one inverted index for the incremental cardinality
-  /// counters (index_stats()).
-  enum IndexId : uint8_t {
-    kOpMetricByMetric = 0,
-    kOpMetricByApplication,
-    kOpMetricResidual,
-    kPeMetricByMetric,
-    kPeMetricByPe,
-    kPeMetricByApplication,
-    kPeMetricResidual,
-    kPeFailureByApplication,
-    kPeFailureResidual,
-    kJobEventByApplication,
-    kJobEventResidual,
-    kUserEventByName,
-    kUserEventResidual,
-    kIndexCount,
-  };
-  /// entries/live counters of one index; bucket counts come from the maps
-  /// themselves (O(1) size()).
-  struct IndexCard {
-    size_t entries = 0;
-    size_t live = 0;
-  };
-  void BumpIndex(IndexId id, size_t count) {
-    index_cards_[id].entries += count;
-    index_cards_[id].live += count;
-  }
-  void DropIndex(IndexId id, size_t count) {
-    IndexCard& card = index_cards_[id];
-    card.live = card.live >= count ? card.live - count : 0;
-  }
-  void ResetIndex(IndexId id) { index_cards_[id] = IndexCard{}; }
-
-  // Index-insert for one scope at a given position; used by Register and
-  // replayed over live slots when a store is rebuilt after compaction.
-  // Also feeds the incremental cardinality counters and (for the metric
-  // stores) the planner's shape indexes, so plan state rebuilds in
-  // lockstep with the legacy indexes.
-  void IndexScope(const OperatorMetricScope& scope, uint32_t position);
-  void IndexScope(const PeMetricScope& scope, uint32_t position);
-  void IndexScope(const PeFailureScope& scope, uint32_t position);
-  void IndexScope(const JobEventScope& scope, uint32_t position);
-  void IndexScope(const UserEventScope& scope, uint32_t position);
-
-  // Tombstone-side counterpart of IndexScope: decrements the cardinality
-  // counters and tombstones the planner postings for one slot being
-  // killed (Unregister, generation retirement, migration extraction).
-  // Must run while slot.scope is still intact.
-  void UnindexScope(const OperatorMetricScope& scope, uint32_t position);
-  void UnindexScope(const PeMetricScope& scope, uint32_t position);
-  void UnindexScope(const PeFailureScope& scope, uint32_t position);
-  void UnindexScope(const JobEventScope& scope, uint32_t position);
-  void UnindexScope(const UserEventScope& scope, uint32_t position);
-
-  /// The planner's view of a metric scope: its indexable attribute values
-  /// (deduplicated, so Add/Kill stay symmetric). Operator-metric
-  /// attributes: metric, application, operator name; PE-metric: metric,
-  /// PE id (stringified), application.
-  static plan::AttributeValues PlanValuesOf(const OperatorMetricScope& scope);
-  static plan::AttributeValues PlanValuesOf(const PeMetricScope& scope);
-
-  /// Recompiles dirty plans; called at the end of every mutating public
-  /// operation (mutations run on the owning thread with lookups
-  /// quiesced, so lookups never see a compile in flight).
-  void PreparePlans();
-
-  // Clears every index member belonging to one store — the single place
-  // that knows which index members a store owns (Clear and compaction
-  // must stay in lockstep with IndexScope).
-  void ClearIndexesFor(const Store<OperatorMetricScope>&);
-  void ClearIndexesFor(const Store<PeMetricScope>&);
-  void ClearIndexesFor(const Store<PeFailureScope>&);
-  void ClearIndexesFor(const Store<JobEventScope>&);
-  void ClearIndexesFor(const Store<UserEventScope>&);
-
+  /// Appends one subscope with the given stamps, indexing it and filing
+  /// it in the key map. Registration stamps the current generation and
+  /// the next sequence; migration replays the extracted stamps.
   template <typename Scope>
-  void RegisterIn(Store<Scope>& store, ScopeType type, Scope scope);
+  void Insert(Scope scope, Generation generation, uint64_t sequence);
 
-  /// RegisterIn with an explicit generation + sequence (the migration
-  /// replay path; does not consume this registry's counters).
+  /// Tombstones the slot (and its index entries) if live; updates the
+  /// store's dead count.
   template <typename Scope>
-  void AppendExtracted(Store<Scope>& store, ScopeType type, Scope scope,
-                       Generation generation, uint64_t sequence);
-  /// Moves one live slot's scope + stamps into `out` and tombstones the
-  /// slot; false if it was already dead.
-  template <typename Scope>
-  bool TakeSlot(Store<Scope>& store, uint32_t position,
-                std::vector<ExtractedScope>& out);
-  /// Re-establishes ascending-sequence slot order for one store after
-  /// out-of-order appends: drops dead slots, sorts live ones by sequence,
-  /// rebuilds the store's indexes. Returns true when positions moved.
-  template <typename Scope, typename ClearIndexes>
-  bool RestoreSequenceOrder(Store<Scope>& store, ClearIndexes clear_indexes);
+  static bool Kill(Store<Scope>& store, uint32_t position);
 
-  /// Tombstones the slot if live; updates the store's dead count.
+  /// Replaces the store's slots with its live ones, optionally sorted by
+  /// sequence, and rebuilds its index.
   template <typename Scope>
-  bool Kill(Store<Scope>& store, uint32_t position);
-
-  /// Tombstones the generation's slots; appends their keys to
-  /// `retired_keys` so RetireGeneration can scrub the key map in time
-  /// proportional to the retired set, not the whole registry.
-  template <typename Scope>
-  size_t RetireGenerationIn(Store<Scope>& store, Generation generation,
-                            std::vector<std::string>& retired_keys);
-
-  /// Whether the slot a key-map ref points at is still live.
-  bool RefLive(const SlotRef& ref) const;
+  static void Rebuild(Store<Scope>& store, bool sort_by_sequence);
 
   /// Compacts any store whose dead count passed the threshold, then
   /// rebuilds the key map if anything moved.
   void MaybeCompact();
-  template <typename Scope, typename ClearIndexes>
-  bool CompactStore(Store<Scope>& store, ClearIndexes clear_indexes);
   void RebuildKeyMap();
 
-  // Operator metric subscopes: indexed by metric name, else by
-  // application, else residual.
+  /// Whether the slot a key-map ref points at is still live.
+  bool RefLive(const SlotRef& ref) const;
+
   Store<OperatorMetricScope> operator_metric_;
-  StringIndex operator_metric_by_metric_;
-  StringIndex operator_metric_by_application_;
-  Bucket operator_metric_residual_;
-
-  // PE metric subscopes: indexed by metric name, else PE id, else
-  // application, else residual.
   Store<PeMetricScope> pe_metric_;
-  StringIndex pe_metric_by_metric_;
-  PeIndex pe_metric_by_pe_;
-  StringIndex pe_metric_by_application_;
-  Bucket pe_metric_residual_;
-
-  // PE failure subscopes: indexed by application, else residual.
   Store<PeFailureScope> pe_failure_;
-  StringIndex pe_failure_by_application_;
-  Bucket pe_failure_residual_;
-
-  // Job event subscopes: indexed by application, else residual.
   Store<JobEventScope> job_event_;
-  StringIndex job_event_by_application_;
-  Bucket job_event_residual_;
-
-  // User event subscopes: indexed by event name, else residual.
   Store<UserEventScope> user_event_;
-  StringIndex user_event_by_name_;
-  Bucket user_event_residual_;
 
   /// key → live slots registered under it (keys are normally unique, but
   /// duplicates are tolerated: Unregister removes them all). Rebuilt
   /// whenever compaction renumbers positions.
   std::unordered_map<std::string, std::vector<SlotRef>> key_map_;
-
-  /// Incremental per-index cardinalities (see index_stats()).
-  std::array<IndexCard, kIndexCount> index_cards_{};
-
-  /// Planner state — null while disabled. Only the two metric stores get
-  /// shape indexes: they are the stores with several indexable attributes
-  /// (the other scope types have at most one, where the legacy
-  /// first-non-empty index is already the best plan).
-  std::unique_ptr<plan::ShapeIndex> operator_metric_plan_;
-  std::unique_ptr<plan::ShapeIndex> pe_metric_plan_;
-  plan::PlannerPolicy planner_policy_;
 
   Generation current_generation_ = 0;
   uint64_t next_sequence_ = 0;

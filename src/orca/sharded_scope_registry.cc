@@ -216,21 +216,6 @@ size_t ShardedScopeRegistry::compaction_count() const {
   return total;
 }
 
-void ShardedScopeRegistry::set_predicate_planner(bool enabled) {
-  for (ScopeRegistry& shard : shards_) {
-    shard.set_predicate_planner(enabled);
-  }
-  residual_.set_predicate_planner(enabled);
-  // Late-grown shards (AddShard) must inherit the same setting.
-  predicate_planner_ = enabled;
-}
-
-plan::PlanStats ShardedScopeRegistry::plan_stats() const {
-  plan::PlanStats stats = residual_.plan_stats();
-  for (const ScopeRegistry& shard : shards_) stats += shard.plan_stats();
-  return stats;
-}
-
 // --- Load accounting & dynamic resharding -----------------------------------
 
 std::vector<ShardedScopeRegistry::ShardLoad> ShardedScopeRegistry::shard_loads()
@@ -251,7 +236,6 @@ std::vector<ShardedScopeRegistry::ShardLoad> ShardedScopeRegistry::shard_loads()
 size_t ShardedScopeRegistry::AddShard() {
   ScopeRegistry fresh;
   fresh.set_compaction_threshold(compaction_threshold_);
-  fresh.set_predicate_planner(predicate_planner_);
   // Generation counters advance in lockstep across shards
   // (BeginGeneration), so a late-born shard joins at the wrapper's
   // current generation.

@@ -227,14 +227,14 @@ class ShardedScopeRegistry {
   size_t dead_count() const;
   size_t compaction_count() const;
 
-  // --- Predicate planner (see ScopeRegistry::set_predicate_planner) --------
+  // --- Retired planner surface --------------------------------------------
 
-  /// Enables/disables the src/plan/ predicate planner on every shard and
-  /// the residual shard; late-grown shards (AddShard) inherit the setting.
-  void set_predicate_planner(bool enabled);
-  bool predicate_planner() const { return predicate_planner_; }
-  /// Planner counters summed across all shards and the residual shard.
-  plan::PlanStats plan_stats() const;
+  /// No-ops kept for the pipeline benchmark, which still calls them: every
+  /// shard indexes its scopes with plan::ShapeIndex unconditionally, so
+  /// there is nothing to enable and no planner counter to report
+  /// (plan_stats() is all-zero).
+  void set_predicate_planner(bool /*enabled*/) {}
+  plan::PlanStats plan_stats() const { return {}; }
 
  private:
   /// Placement of the residual shard in shard-id terms.
@@ -328,8 +328,6 @@ class ShardedScopeRegistry {
   size_t max_shards_ = 0;
   /// Forwarded to late-grown shards (AddShard).
   size_t compaction_threshold_ = 16;
-  /// Forwarded to late-grown shards (AddShard).
-  bool predicate_planner_ = false;
   /// Calling-thread-only load counters (see AppRoute::matches).
   mutable uint64_t residual_matches_ = 0;
   uint64_t reshards_ = 0;

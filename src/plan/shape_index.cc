@@ -4,166 +4,143 @@
 
 namespace orcastream::plan {
 
-ShapeIndex::ShapeIndex(size_t attr_count, PlannerPolicy policy)
-    : attr_count_(attr_count < kMaxAttrs ? attr_count : kMaxAttrs),
-      planner_(policy) {}
+namespace {
+
+/// The posting of `shape` among one value's postings, or null.
+template <typename Postings>
+auto FindShape(Postings& postings, uint32_t shape)
+    -> decltype(postings.data()) {
+  for (auto& posting : postings) {
+    if (posting.shape == shape) return &posting;
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 uint32_t ShapeIndex::ShapeOf(const AttributeValues& values) {
   uint32_t shape = 0;
-  for (size_t attr = 0; attr < values.size(); ++attr) {
+  for (size_t attr = 0; attr < values.size() && attr < kMaxAttrs; ++attr) {
     if (!values[attr].empty()) shape |= 1u << attr;
   }
   return shape;
 }
 
 void ShapeIndex::Add(uint32_t position, const AttributeValues& values) {
-  uint32_t shape = ShapeOf(values);
-  auto [it, inserted] = groups_.try_emplace(shape, attr_count_);
-  Group& group = it->second;
-  group.all.positions.push_back(position);
-  ++group.all.live;
-  for (size_t attr = 0; attr < attr_count_ && attr < values.size(); ++attr) {
+  const uint32_t shape = ShapeOf(values);
+  auto group =
+      std::find_if(groups_.begin(), groups_.end(),
+                   [shape](const Group& g) { return g.shape == shape; });
+  if (group == groups_.end()) {
+    groups_.push_back(Group{shape, 0});
+    group = groups_.end() - 1;
+  }
+  ++group->live;
+  if (shape == 0) {
+    wildcards_.push_back(position);
+    return;
+  }
+  postings_.resize(std::max(postings_.size(),
+                            std::min(values.size(), kMaxAttrs)));
+  for (size_t attr = 0; attr < postings_.size() && attr < values.size();
+       ++attr) {
     for (const std::string& value : values[attr]) {
-      auto [pit, fresh] = group.postings[attr].try_emplace(value);
-      pit->second.positions.push_back(position);
-      ++pit->second.live;
-      group.stats.OnInsert(attr, fresh);
+      Postings& by_shape = postings_[attr][value];
+      Posting* posting = FindShape(by_shape, shape);
+      if (posting == nullptr) {
+        posting = &by_shape.emplace_back(Posting{shape, 0, {}});
+      }
+      posting->positions.push_back(position);
+      ++posting->live;
     }
   }
-  group.dirty = true;
-  ++epoch_;
 }
 
-void ShapeIndex::Kill(uint32_t /*position*/, const AttributeValues& values) {
-  auto it = groups_.find(ShapeOf(values));
-  if (it == groups_.end()) return;
-  Group& group = it->second;
-  if (group.all.live > 0) --group.all.live;
-  for (size_t attr = 0; attr < attr_count_ && attr < values.size(); ++attr) {
+void ShapeIndex::Kill(const AttributeValues& values) {
+  const uint32_t shape = ShapeOf(values);
+  for (Group& group : groups_) {
+    if (group.shape == shape && group.live > 0) --group.live;
+  }
+  for (size_t attr = 0; attr < postings_.size() && attr < values.size();
+       ++attr) {
     for (const std::string& value : values[attr]) {
-      auto pit = group.postings[attr].find(value);
-      if (pit == group.postings[attr].end()) continue;
-      if (pit->second.live > 0) --pit->second.live;
-      group.stats.OnKill(attr);
+      auto it = postings_[attr].find(value);
+      if (it == postings_[attr].end()) continue;
+      Posting* posting = FindShape(it->second, shape);
+      if (posting != nullptr && posting->live > 0) --posting->live;
     }
   }
-  group.dirty = true;
-  ++epoch_;
 }
 
 void ShapeIndex::Clear() {
+  postings_.clear();
   groups_.clear();
-  cache_.Clear();
-  ++epoch_;
+  wildcards_.clear();
 }
 
-void ShapeIndex::Prepare() {
-  for (auto& [shape, group] : groups_) {
-    if (!group.dirty) continue;
-    group.dirty = false;
-    // The wildcard group has no attributes to order — nothing to plan.
-    if (shape == 0) continue;
-    cache_.Put(planner_.Compile(shape, group.stats, epoch_));
-  }
-}
-
-bool ShapeIndex::CollectGroup(uint32_t shape, const Group& group,
-                              const std::string* const* probes,
+void ShapeIndex::CollectGroup(uint32_t shape, const Postings* const* found,
                               std::vector<uint32_t>* out) const {
-  if (group.all.live == 0) return true;
-  if (shape == 0) {
-    // Wildcard predicates match any probe; every member is a candidate.
-    out->insert(out->end(), group.all.positions.begin(),
-                group.all.positions.end());
-    return true;
-  }
-
-  // Probe order: the compiled plan's, or ascending attributes for a group
-  // Prepare has not seen yet (order affects only speed — fresh groups are
-  // planned by the next Prepare).
-  size_t order[kMaxAttrs];
-  double expected[kMaxAttrs];
-  size_t steps = 0;
-  const CompiledPlan* plan = cache_.Find(shape);
-  if (plan != nullptr) {
-    for (const PlanStep& step : plan->steps) {
-      order[steps] = step.attr;
-      expected[steps] = step.expected_live;
-      ++steps;
+  const std::vector<uint32_t>* lists[kMaxAttrs] = {};
+  size_t count = 0;
+  size_t smallest = 0;
+  for (size_t attr = 0; attr < postings_.size(); ++attr) {
+    if ((shape & (1u << attr)) == 0) continue;
+    const Posting* posting =
+        found[attr] == nullptr ? nullptr : FindShape(*found[attr], shape);
+    // An absent or dead posting empties the whole conjunction.
+    if (posting == nullptr || posting->live == 0) return;
+    if (count > 0 && posting->positions.size() < lists[smallest]->size()) {
+      smallest = count;
     }
-  } else {
-    for (size_t attr = 0; attr < attr_count_; ++attr) {
-      if ((shape & (1u << attr)) == 0) continue;
-      order[steps] = attr;
-      expected[steps] = -1.0;
-      ++steps;
-    }
+    lists[count++] = &posting->positions;
   }
-
-  const Posting* postings[kMaxAttrs];
-  for (size_t i = 0; i < steps; ++i) {
-    const auto& index = group.postings[order[i]];
-    auto it = index.find(*probes[order[i]]);
-    if (it == index.end() || it->second.live == 0) {
-      // Empty probe — the whole conjunction is empty for this group.
-      return true;
-    }
-    if (i == 0 && expected[0] >= 0.0 &&
-        planner_.SkewGuardTriggered(expected[0], it->second.live)) {
-      return false;
-    }
-    postings[i] = &it->second;
+  const std::vector<uint32_t>& first = *lists[smallest];
+  // One or two entries go straight to the caller's recheck, which costs
+  // less than the binary searches that would confirm them. Two covers a
+  // lone live entry next to a tombstone under register/unregister churn.
+  if (count == 1 || first.size() <= 2) {
+    out->insert(out->end(), first.begin(), first.end());
+    return;
   }
-
-  const Posting& first = *postings[0];
-  if (steps == 1) {
-    out->insert(out->end(), first.positions.begin(), first.positions.end());
-    return true;
-  }
-  for (uint32_t position : first.positions) {
+  for (uint32_t position : first) {
     bool in_all = true;
-    for (size_t i = 1; i < steps; ++i) {
-      const auto& positions = postings[i]->positions;
-      if (!std::binary_search(positions.begin(), positions.end(), position)) {
-        in_all = false;
-        break;
-      }
+    for (size_t i = 0; i < count && in_all; ++i) {
+      in_all = i == smallest || std::binary_search(lists[i]->begin(),
+                                                   lists[i]->end(), position);
     }
     if (in_all) out->push_back(position);
   }
-  return true;
 }
 
-bool ShapeIndex::Collect(std::initializer_list<const std::string*> probes,
+void ShapeIndex::Collect(std::initializer_list<const std::string*> probes,
                          std::vector<uint32_t>* out) const {
   out->clear();
-  const std::string* probe_array[kMaxAttrs] = {nullptr};
-  size_t count = 0;
-  for (const std::string* probe : probes) {
-    if (count >= attr_count_) break;
-    probe_array[count++] = probe;
+  // Probe each attribute a live group filters on once; every group
+  // filtering on it reads the same postings.
+  uint32_t probed = 0;
+  for (const Group& group : groups_) {
+    if (group.live > 0) probed |= group.shape;
   }
-  for (const auto& [shape, group] : groups_) {
-    if (!CollectGroup(shape, group, probe_array, out)) {
-      fallback_lookups_.fetch_add(1, std::memory_order_relaxed);
-      return false;
+  const Postings* found[kMaxAttrs] = {};
+  size_t attr = 0;
+  for (const std::string* probe : probes) {
+    if (attr >= postings_.size()) break;
+    if ((probed & (1u << attr)) != 0) {
+      auto it = postings_[attr].find(*probe);
+      if (it != postings_[attr].end()) found[attr] = &it->second;
+    }
+    ++attr;
+  }
+  for (const Group& group : groups_) {
+    if (group.live == 0) continue;
+    if (group.shape == 0) {
+      out->insert(out->end(), wildcards_.begin(), wildcards_.end());
+    } else {
+      CollectGroup(group.shape, found, out);
     }
   }
-  // Groups partition the position space, so the concatenation holds no
-  // duplicates; sorting restores registration order.
+  // Groups partition the positions, so the union holds no duplicates.
   std::sort(out->begin(), out->end());
-  planned_lookups_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-PlanStats ShapeIndex::stats() const {
-  PlanStats stats;
-  stats.plans_compiled = cache_.compiles();
-  stats.replans = cache_.replans();
-  stats.planned_lookups = planned_lookups_.load(std::memory_order_relaxed);
-  stats.fallback_lookups = fallback_lookups_.load(std::memory_order_relaxed);
-  stats.shapes = groups_.size();
-  return stats;
 }
 
 }  // namespace orcastream::plan

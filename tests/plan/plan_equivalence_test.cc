@@ -21,11 +21,11 @@ using common::Rng;
 using orcastream::testing::ClusterHarness;
 using topology::AppBuilder;
 
-/// Randomized churn oracle for the predicate planner: every lookup on a
-/// planner-enabled registry must return byte-identical keys to
-/// MatchedKeysLinear (and, for samples grounded in a real job, to the
-/// relational SqlScopeEval formulation) across registration, unregistration,
-/// generation retirement, compaction, and shard migration.
+/// Randomized churn oracle for the scope index: every indexed lookup must
+/// return byte-identical keys to MatchedKeysLinear (and, for samples
+/// grounded in a real job, to the relational SqlScopeEval formulation)
+/// across registration, unregistration, generation retirement, compaction,
+/// and shard migration.
 class PlanEquivalenceTest : public ::testing::Test {
  protected:
   PlanEquivalenceTest() : cluster_(2) {
@@ -121,7 +121,6 @@ TEST_F(PlanEquivalenceTest, OperatorMetricChurnStaysByteIdentical) {
     Rng rng(seed);
     ScopeRegistry registry;
     registry.set_compaction_threshold(8);  // force compactions mid-stream
-    registry.set_predicate_planner(true);
     std::vector<std::string> live_keys;
     std::vector<ScopeRegistry::Generation> open_generations;
     int next_key = 0;
@@ -163,9 +162,6 @@ TEST_F(PlanEquivalenceTest, OperatorMetricChurnStaysByteIdentical) {
             << " app=" << context.application << " metric=" << context.metric;
       }
     }
-    // The planner actually ran (this is not vacuously green).
-    EXPECT_GT(registry.plan_stats().planned_lookups, 0u);
-    EXPECT_GT(registry.plan_stats().plans_compiled, 0u);
     EXPECT_GT(registry.compaction_count(), 0u);
   }
 }
@@ -174,7 +170,6 @@ TEST_F(PlanEquivalenceTest, PeMetricChurnAgreesWithLinearAndSql) {
   Rng rng(987);
   ScopeRegistry registry;
   registry.set_compaction_threshold(8);
-  registry.set_predicate_planner(true);
   const GraphView::JobRecord* record = view_.FindJob(job_);
   ASSERT_NE(record, nullptr);
   baseline::SqlScopeEval sql(*record);
@@ -198,11 +193,11 @@ TEST_F(PlanEquivalenceTest, PeMetricChurnAgreesWithLinearAndSql) {
 
     for (int i = 0; i < 20; ++i) {
       PeMetricContext context = RandomPeMetricContext(rng);
-      auto planned = registry.MatchedKeys(context);
-      EXPECT_EQ(planned, registry.MatchedKeysLinear(context));
+      auto indexed = registry.MatchedKeys(context);
+      EXPECT_EQ(indexed, registry.MatchedKeysLinear(context));
 
       // Relational oracle: for samples grounded in the managed job (a PE
-      // the job actually hosts), each key is in the planned result iff
+      // the job actually hosts), each key is in the indexed result iff
       // the SQL formulation selects the sample for that subscope.
       if (context.application != record->app_name) continue;
       bool pe_hosted = false;
@@ -215,14 +210,13 @@ TEST_F(PlanEquivalenceTest, PeMetricChurnAgreesWithLinearAndSql) {
         if (sql.Matches(scope, context)) sql_keys.push_back(key);
       }
       std::sort(sql_keys.begin(), sql_keys.end());
-      std::vector<std::string> planned_sorted = planned;
-      std::sort(planned_sorted.begin(), planned_sorted.end());
-      EXPECT_EQ(planned_sorted, sql_keys)
+      std::vector<std::string> indexed_sorted = indexed;
+      std::sort(indexed_sorted.begin(), indexed_sorted.end());
+      EXPECT_EQ(indexed_sorted, sql_keys)
           << "round=" << round << " pe=" << context.pe.value()
           << " metric=" << context.metric;
     }
   }
-  EXPECT_GT(registry.plan_stats().planned_lookups, 0u);
 }
 
 TEST_F(PlanEquivalenceTest, ShardedChurnWithMigrationsStaysByteIdentical) {
@@ -235,9 +229,8 @@ TEST_F(PlanEquivalenceTest, ShardedChurnWithMigrationsStaysByteIdentical) {
     reshard.hot_ratio = 1.5;
     reshard.min_matches = 64;  // low gate: splits happen mid-test
     sharded.set_reshard_policy(reshard);
-    sharded.set_predicate_planner(true);
     // Mirror single registry fed the identical stream; its linear scan is
-    // the oracle both for sharding and for the planner.
+    // the oracle both for sharding and for the index.
     ScopeRegistry mirror;
     std::vector<std::string> live_keys;
     int next_key = 0;
@@ -258,8 +251,8 @@ TEST_F(PlanEquivalenceTest, ShardedChurnWithMigrationsStaysByteIdentical) {
         mirror.Unregister(live_keys[victim]);
         live_keys.erase(live_keys.begin() + static_cast<long>(victim));
       }
-      // Forced migration plus policy-driven splitting mid-stream: plans on
-      // both the source and destination shards must rebuild.
+      // Forced migration plus policy-driven splitting mid-stream: the
+      // indexes of both the source and destination shards must follow.
       if (rng.Bernoulli(0.4)) {
         sharded.MigrateApplication(
             Pick(rng, kApps),
@@ -276,7 +269,6 @@ TEST_F(PlanEquivalenceTest, ShardedChurnWithMigrationsStaysByteIdentical) {
             << " shards=" << sharded.shard_count();
       }
     }
-    EXPECT_GT(sharded.plan_stats().planned_lookups, 0u);
 
     // Heat phase: random churn co-pins the four apps into one migration
     // group (multi-application filters), which can never split, so force
@@ -284,9 +276,9 @@ TEST_F(PlanEquivalenceTest, ShardedChurnWithMigrationsStaysByteIdentical) {
     // population first — that severs the co-pin closure and drops every
     // route — then pin two apps with *single-app* subscopes onto shard 0,
     // skew traffic onto one of them, and let MaybeRebalance isolate it on
-    // a freshly grown shard. Plans on both the source and the new shard
-    // must rebuild: every lookup keeps checking byte-identity against the
-    // mirror's linear scan.
+    // a freshly grown shard. The indexes of both the source and the new
+    // shard must follow: every lookup keeps checking byte-identity against
+    // the mirror's linear scan.
     for (const std::string& key : live_keys) {
       sharded.Unregister(key);
       mirror.Unregister(key);
@@ -319,7 +311,7 @@ TEST_F(PlanEquivalenceTest, ShardedChurnWithMigrationsStaysByteIdentical) {
     }
     EXPECT_GT(sharded.shard_count(), before_growth)
         << "no split happened; seed=" << seed;
-    // Post-split: the grown shard answers with a freshly rebuilt plan.
+    // Post-split: the grown shard answers from its own index.
     for (int i = 0; i < 30; ++i) {
       OperatorMetricContext context = RandomOperatorMetricContext(rng);
       context.application = "Figure2";
@@ -328,14 +320,6 @@ TEST_F(PlanEquivalenceTest, ShardedChurnWithMigrationsStaysByteIdentical) {
           << "seed=" << seed << " post-split";
     }
   }
-}
-
-TEST_F(PlanEquivalenceTest, LateGrownShardInheritsPlanner) {
-  ShardedScopeRegistry sharded(1);
-  sharded.set_predicate_planner(true);
-  size_t fresh = sharded.AddShard();
-  EXPECT_TRUE(sharded.shard(fresh).predicate_planner());
-  EXPECT_TRUE(sharded.residual_shard().predicate_planner());
 }
 
 }  // namespace

@@ -624,91 +624,5 @@ TEST_F(ScopeRegistryTest, ClearEmptiesEverything) {
   EXPECT_TRUE(registry.MatchedKeys(context).empty());
 }
 
-TEST_F(ScopeRegistryTest, IndexStatsTrackLiveAndTombstonedEntries) {
-  ScopeRegistry registry;
-  registry.set_compaction_threshold(100);  // keep tombstones visible
-  auto find = [&](const char* name) {
-    for (const auto& entry : registry.index_stats()) {
-      if (std::string(entry.index) == name) return entry;
-    }
-    ADD_FAILURE() << "missing index " << name;
-    return ScopeRegistry::IndexCardinality{};
-  };
-
-  // Two scopes under by_metric ("m1" shared), one under by_application,
-  // one wildcard in the residual set.
-  OperatorMetricScope a("a");
-  a.AddOperatorMetric("m1");
-  registry.Register(std::move(a));
-  OperatorMetricScope b("b");
-  b.AddOperatorMetric("m1");
-  b.AddOperatorMetric("m2");
-  registry.Register(std::move(b));
-  OperatorMetricScope c("c");
-  c.AddApplicationFilter("app");
-  registry.Register(std::move(c));
-  registry.Register(OperatorMetricScope("wild"));
-
-  auto by_metric = find("operator_metric.by_metric");
-  EXPECT_EQ(by_metric.buckets, 2u);  // m1, m2
-  EXPECT_EQ(by_metric.entries, 3u);
-  EXPECT_EQ(by_metric.live, 3u);
-  EXPECT_EQ(find("operator_metric.by_application").live, 1u);
-  EXPECT_EQ(find("operator_metric.residual").live, 1u);
-
-  // Tombstoning decrements live but not entries until compaction runs.
-  registry.Unregister("b");
-  by_metric = find("operator_metric.by_metric");
-  EXPECT_EQ(by_metric.entries, 3u);
-  EXPECT_EQ(by_metric.live, 1u);
-  EXPECT_EQ(by_metric.dead(), 2u);
-  EXPECT_EQ(registry.dead_count(), 1u);  // one dead slot, two dead entries
-
-  // Compaction rebuilds the store's indexes: entries reconcile with live,
-  // matching the store contributing nothing to dead_count().
-  registry.set_compaction_threshold(1);
-  registry.Unregister("a");
-  EXPECT_GT(registry.compaction_count(), 0u);
-  EXPECT_EQ(registry.dead_count(), 0u);
-  for (const auto& entry : registry.index_stats()) {
-    EXPECT_EQ(entry.dead(), 0u) << entry.index;
-  }
-  by_metric = find("operator_metric.by_metric");
-  EXPECT_EQ(by_metric.entries, 0u);
-  EXPECT_EQ(find("operator_metric.by_application").live, 1u);
-  EXPECT_EQ(find("operator_metric.residual").live, 1u);
-}
-
-TEST_F(ScopeRegistryTest, IndexStatsReconcileUnderRandomChurn) {
-  Rng rng(20260808);
-  ScopeRegistry registry;
-  registry.set_compaction_threshold(8);
-  std::vector<std::string> keys;
-  for (int round = 0; round < 20; ++round) {
-    for (int i = 0; i < 6; ++i) {
-      std::string key = "r" + std::to_string(round) + "_" + std::to_string(i);
-      registry.Register(RandomOperatorMetricScope(rng, key));
-      keys.push_back(key);
-    }
-    for (int i = 0; i < 3 && !keys.empty(); ++i) {
-      size_t victim = static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(keys.size()) - 1));
-      registry.Unregister(keys[victim]);
-      keys.erase(keys.begin() + static_cast<long>(victim));
-    }
-    // Invariants that must hold at every point of the churn: live never
-    // exceeds entries, and a store that just compacted has no dead
-    // entries left anywhere in its indexes.
-    for (const auto& entry : registry.index_stats()) {
-      EXPECT_LE(entry.live, entry.entries) << entry.index;
-    }
-    if (registry.dead_count() == 0) {
-      for (const auto& entry : registry.index_stats()) {
-        EXPECT_EQ(entry.dead(), 0u) << entry.index;
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace orcastream::orca
