@@ -8,26 +8,39 @@ namespace orcastream::net {
 
 namespace {
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// Slice-by-8 tables: kCrcTables[0] is the classic byte-at-a-time table;
+/// kCrcTables[k][b] is the CRC contribution of byte b followed by k zero
+/// bytes, so eight table lookups advance the CRC by eight bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables BuildCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
 }
 
-void PutU16(uint16_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v & 0xFF));
-  out->push_back(static_cast<uint8_t>((v >> 8) & 0xFF));
+constexpr CrcTables kCrcTables = BuildCrcTables();
+
+void PutU16(uint16_t v, uint8_t* p) {
+  p[0] = static_cast<uint8_t>(v & 0xFF);
+  p[1] = static_cast<uint8_t>((v >> 8) & 0xFF);
 }
 
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
+void PutU32(uint32_t v, uint8_t* p) {
   for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xFF));
+    p[i] = static_cast<uint8_t>((v >> (8 * i)) & 0xFF);
   }
 }
 
@@ -36,30 +49,44 @@ uint16_t GetU16(const uint8_t* p) {
 }
 
 uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t n) {
-  static const std::array<uint32_t, 256> kTable = BuildCrcTable();
+  const CrcTables& t = kCrcTables;
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    crc = (crc >> 8) ^ kTable[(crc ^ data[i]) & 0xFF];
+  for (; n >= 8; data += 8, n -= 8) {
+    uint32_t lo = crc ^ GetU32(data);
+    uint32_t hi = GetU32(data + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+          t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][hi & 0xFF] ^
+          t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++data, --n) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFF];
   }
   return crc ^ 0xFFFFFFFFu;
 }
 
+void EncodeFrameHeader(FrameType type, const uint8_t* payload,
+                       size_t payload_len, uint8_t header[kFrameHeaderSize]) {
+  PutU16(kFrameMagic, header);
+  header[2] = kFrameVersion;
+  header[3] = static_cast<uint8_t>(type);
+  PutU32(static_cast<uint32_t>(payload_len), header + 4);
+  PutU32(Crc32(payload, payload_len), header + 8);
+}
+
 void EncodeFrame(FrameType type, const uint8_t* payload, size_t payload_len,
                  std::vector<uint8_t>* out) {
+  uint8_t header[kFrameHeaderSize] = {};
+  EncodeFrameHeader(type, payload, payload_len, header);
   out->reserve(out->size() + kFrameHeaderSize + payload_len);
-  PutU16(kFrameMagic, out);
-  out->push_back(kFrameVersion);
-  out->push_back(static_cast<uint8_t>(type));
-  PutU32(static_cast<uint32_t>(payload_len), out);
-  PutU32(Crc32(payload, payload_len), out);
+  out->insert(out->end(), header, header + kFrameHeaderSize);
   out->insert(out->end(), payload, payload + payload_len);
 }
 

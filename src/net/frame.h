@@ -39,7 +39,8 @@ inline constexpr size_t kFrameHeaderSize = 12;
 /// rejected from the 4 header bytes alone, before any payload allocation.
 inline constexpr size_t kMaxFramePayload = 4u * 1024u * 1024u;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
+/// CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-8 table-driven.
+/// Words are assembled from bytes, so the value is host-endian agnostic.
 uint32_t Crc32(const uint8_t* data, size_t n);
 
 /// One decoded frame.
@@ -47,6 +48,11 @@ struct DecodedFrame {
   FrameType type = FrameType::kHeartbeat;
   std::vector<uint8_t> payload;
 };
+
+/// Writes the header of a frame carrying `payload` (its length and CRC
+/// included) into `header`. The one encoder of the header layout above.
+void EncodeFrameHeader(FrameType type, const uint8_t* payload,
+                       size_t payload_len, uint8_t header[kFrameHeaderSize]);
 
 /// Appends the encoded frame (header + payload) to `out`.
 void EncodeFrame(FrameType type, const uint8_t* payload, size_t payload_len,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/logging.h"
+
 namespace orcastream::net {
 
 using common::Status;
@@ -33,6 +35,16 @@ void RemoteEventSink::InjectUserEvent(
 }
 
 void RemoteEventSink::EnqueueEvent(std::vector<uint8_t> payload) {
+  if (payload.size() > config_.max_frame_payload) {
+    // The server's decoder would reject the frame's length and drop the
+    // connection, and the journal would resend it on every reconnect:
+    // refuse it here, before it is journaled or sequenced.
+    ++events_discarded_;
+    ORCA_LOG(kError) << "remote event sink: refused a " << payload.size()
+                     << "-byte event over the " << config_.max_frame_payload
+                     << "-byte frame payload cap";
+    return;
+  }
   if (journal_.size() >= config_.max_unacked) {
     // Bounded journal: with the server unreachable for this long, losing
     // the event (counted) beats growing the process without limit.

@@ -89,7 +89,9 @@ class RemoteEventSink : public runtime::EventSink {
   uint64_t sessions_established() const { return sessions_established_; }
   /// Connections torn down (timeout, transport error, framing error).
   uint64_t connections_dropped() const { return connections_dropped_; }
-  /// Events refused because the journal hit Config::max_unacked.
+  /// Events refused at enqueue, never journaled: the journal hit
+  /// Config::max_unacked, or the encoded event exceeded
+  /// Config::max_frame_payload (no frame could ever carry it).
   uint64_t events_discarded() const { return events_discarded_; }
   /// Time of each connection attempt, in Pump() order — the backoff
   /// schedule, observable for tests.
@@ -108,7 +110,7 @@ class RemoteEventSink : public runtime::EventSink {
 
   /// Journals the event payload and, when established, pushes it out in
   /// the same call stack (what keeps loopback transport byte-equivalent
-  /// to an in-process publish).
+  /// to an in-process publish). Over-cap payloads are refused unsent.
   void EnqueueEvent(std::vector<uint8_t> payload);
   /// One state-machine step; Pump() wraps it with a reentrancy guard so
   /// an inline loopback delivery that calls back into this sink defers

@@ -8,11 +8,11 @@ using common::Status;
 
 bool FramedConn::QueueFrame(FrameType type,
                             const std::vector<uint8_t>& payload) {
-  size_t frame_size = FrameSizeFor(payload.size());
-  if (out_.free() < frame_size) return false;
-  std::vector<uint8_t> encoded;
-  EncodeFrame(type, payload, &encoded);
-  out_.Write(encoded.data(), encoded.size());
+  if (out_.free() < FrameSizeFor(payload.size())) return false;
+  uint8_t header[kFrameHeaderSize] = {};
+  EncodeFrameHeader(type, payload.data(), payload.size(), header);
+  out_.Write(header, kFrameHeaderSize);
+  out_.Write(payload.data(), payload.size());
   return true;
 }
 

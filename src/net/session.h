@@ -15,17 +15,21 @@ namespace orcastream::net {
 /// stamps for the owner's heartbeat bookkeeping. Timestamps are whatever
 /// clock the owner injects (sim time in tests, a ClockFn in production) —
 /// this layer never reads a clock of its own.
+///
+/// The output ring is bounded by one frame at the payload cap, so any
+/// frame the peer's decoder accepts can be staged once the ring drains;
+/// the ring allocates only what it has held.
 class FramedConn {
  public:
-  FramedConn(std::unique_ptr<Channel> channel, size_t max_payload,
-             size_t out_capacity = 256 * 1024)
+  FramedConn(std::unique_ptr<Channel> channel, size_t max_payload)
       : channel_(std::move(channel)), decoder_(max_payload),
-        out_(out_capacity) {}
+        out_(FrameSizeFor(max_payload)) {}
 
-  /// Stages one frame for transmission. Returns false (and stages
-  /// nothing) when the output ring lacks space for the whole frame —
-  /// frames are never split across a backpressure boundary, so the
-  /// caller simply retries the message on a later pump.
+  /// Stages one frame for transmission: the header, then the payload,
+  /// straight into the output ring. Returns false (and stages nothing)
+  /// when the ring lacks space for the whole frame — frames are never
+  /// split across a backpressure boundary, so the caller simply retries
+  /// the message on a later pump. A payload over the cap never fits.
   bool QueueFrame(FrameType type, const std::vector<uint8_t>& payload);
 
   /// Pushes staged bytes into the channel as far as it accepts. Returns

@@ -1,22 +1,29 @@
 #include "net/wire.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace orcastream::net {
 
 using common::Status;
 
-void WireWriter::U32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out_.push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xFF));
+namespace {
+
+/// Appends the low `N` bytes of `v`, little-endian, as one block.
+template <int N>
+void AppendLittleEndian(uint64_t v, std::vector<uint8_t>* out) {
+  uint8_t bytes[N] = {};
+  for (int i = 0; i < N; ++i) {
+    bytes[i] = static_cast<uint8_t>((v >> (8 * i)) & 0xFF);
   }
+  out->insert(out->end(), bytes, bytes + N);
 }
 
-void WireWriter::U64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out_.push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
+}  // namespace
+
+void WireWriter::U32(uint32_t v) { AppendLittleEndian<4>(v, &out_); }
+
+void WireWriter::U64(uint64_t v) { AppendLittleEndian<8>(v, &out_); }
 
 void WireWriter::F64(double v) {
   uint64_t bits = 0;
@@ -159,6 +166,26 @@ void ReadFailure(WireReader* r, runtime::PeFailureNotice* n) {
   }
 }
 
+// Encoded sizes of the fixed-width parts of a snapshot record: job, pe,
+// name length prefixes, kind, value (+ port, output flag for operators).
+// A record's strings add their bytes on top, so these are also the
+// smallest a record can be on the wire.
+constexpr size_t kOperatorRecordMinBytes = 8 + 8 + 4 + 4 + 1 + 8 + 4 + 1;
+constexpr size_t kPeRecordMinBytes = 8 + 8 + 4 + 1 + 8;
+
+size_t SnapshotWireSize(const runtime::MetricsSnapshot& s) {
+  size_t size = 8 + 4 + 4;  // collected_at, both record counts
+  size += s.operator_metrics.size() * kOperatorRecordMinBytes;
+  for (const runtime::OperatorMetricRecord& m : s.operator_metrics) {
+    size += m.operator_name.size() + m.metric_name.size();
+  }
+  size += s.pe_metrics.size() * kPeRecordMinBytes;
+  for (const runtime::PeMetricRecord& m : s.pe_metrics) {
+    size += m.metric_name.size();
+  }
+  return size;
+}
+
 void WriteSnapshot(const runtime::MetricsSnapshot& s, WireWriter* w) {
   w->F64(s.collected_at);
   w->U32(static_cast<uint32_t>(s.operator_metrics.size()));
@@ -185,6 +212,10 @@ void WriteSnapshot(const runtime::MetricsSnapshot& s, WireWriter* w) {
 void ReadSnapshot(WireReader* r, runtime::MetricsSnapshot* s) {
   s->collected_at = r->F64();
   uint32_t op_count = r->U32();
+  // Capped by what the remaining bytes could hold, so a hostile count
+  // cannot reserve more than the payload itself.
+  s->operator_metrics.reserve(
+      std::min<size_t>(op_count, r->remaining() / kOperatorRecordMinBytes));
   for (uint32_t i = 0; i < op_count && r->ok(); ++i) {
     runtime::OperatorMetricRecord m;
     m.job = common::JobId(r->I64());
@@ -198,6 +229,8 @@ void ReadSnapshot(WireReader* r, runtime::MetricsSnapshot* s) {
     s->operator_metrics.push_back(std::move(m));
   }
   uint32_t pe_count = r->U32();
+  s->pe_metrics.reserve(
+      std::min<size_t>(pe_count, r->remaining() / kPeRecordMinBytes));
   for (uint32_t i = 0; i < pe_count && r->ok(); ++i) {
     runtime::PeMetricRecord m;
     m.job = common::JobId(r->I64());
@@ -227,6 +260,8 @@ void ReadUser(WireReader* r, UserEventMsg* u) {
   }
 }
 
+constexpr size_t kEventHeaderBytes = 8 + 1;  // seq, kind
+
 void EncodeEventHeader(uint64_t seq, EventKind kind, WireWriter* w) {
   w->U64(seq);
   w->U8(static_cast<uint8_t>(kind));
@@ -245,6 +280,7 @@ std::vector<uint8_t> EncodePeFailureEvent(uint64_t seq,
 std::vector<uint8_t> EncodeMetricsEvent(uint64_t seq,
                                         const runtime::MetricsSnapshot& s) {
   WireWriter w;
+  w.Reserve(kEventHeaderBytes + SnapshotWireSize(s));
   EncodeEventHeader(seq, EventKind::kMetricsSnapshot, &w);
   WriteSnapshot(s, &w);
   return w.Take();

@@ -18,9 +18,13 @@ inline constexpr uint32_t kProtocolVersion = 1;
 
 /// Little-endian append-only payload writer. All multi-byte integers on
 /// the wire are little-endian; strings are u32 length + bytes; doubles are
-/// IEEE-754 bit patterns in a u64.
+/// IEEE-754 bit patterns in a u64. Each value is appended as one block.
 class WireWriter {
  public:
+  /// Pre-sizes the buffer for `n` more bytes (encoders that know their
+  /// exact payload size append without reallocating).
+  void Reserve(size_t n) { out_.reserve(out_.size() + n); }
+
   void U8(uint8_t v) { out_.push_back(v); }
   void U32(uint32_t v);
   void U64(uint64_t v);

@@ -5,6 +5,8 @@
 
 #include "common/rng.h"
 #include "net/frame.h"
+#include "net/loopback_channel.h"
+#include "net/session.h"
 #include "net/wire.h"
 
 namespace orcastream::net {
@@ -255,6 +257,133 @@ TEST(FrameCodecTest, RandomGarbageNeverDecodesAndNeverCrashes) {
   }
 }
 
+// --- Wire format pins --------------------------------------------------------
+//
+// Fast paths (slice-by-8 CRC, direct header writes, block appends) must
+// leave every byte on the wire where it was. These cases pin the format
+// against references that share no code with the encoder.
+
+/// CRC-32 (IEEE, reflected) one bit at a time.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(FrameCodecTest, Crc32MatchesTheStandardCheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check), 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(FrameCodecTest, Crc32MatchesABitwiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(4321);
+  std::vector<uint8_t> bytes(1024 + 8);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  // Every start offset 0-7 so the 8-byte blocks meet every alignment, and
+  // every length 0-1024 so every tail length follows them.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(Crc32(bytes.data() + offset, len),
+                BitwiseCrc32(bytes.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+/// A fixed snapshot of one operator and one PE record.
+runtime::MetricsSnapshot GoldenSnapshot() {
+  runtime::MetricsSnapshot snapshot;
+  snapshot.collected_at = 30.5;
+  runtime::OperatorMetricRecord op;
+  op.job = common::JobId(1);
+  op.pe = common::PeId(2);
+  op.operator_name = "agg";
+  op.metric_name = "nTuples";
+  op.kind = runtime::MetricKind::kCustom;
+  op.value = -5;
+  op.port = 1;
+  op.output_port = true;
+  snapshot.operator_metrics.push_back(op);
+  runtime::PeMetricRecord pe;
+  pe.job = common::JobId(1);
+  pe.pe = common::PeId(2);
+  pe.metric_name = "queueSize";
+  pe.value = int64_t{1} << 30;
+  snapshot.pe_metrics.push_back(pe);
+  return snapshot;
+}
+
+/// The EVENT frame carrying GoldenSnapshot() as sequence 7, byte for
+/// byte. The CRC was computed independently (zlib's crc32).
+const std::vector<uint8_t>& GoldenEventFrame() {
+  static const std::vector<uint8_t> kFrame = {
+      // header: magic, version, type, payload_len = 111, crc32
+      0x52, 0x4f, 0x01, 0x05, 0x6f, 0x00, 0x00, 0x00, 0x4d, 0x7e, 0xb2, 0x10,
+      // seq = 7, kind = metrics snapshot
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02,
+      // collected_at = 30.5, operator record count = 1
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3e, 0x40, 0x01, 0x00, 0x00, 0x00,
+      // job = 1, pe = 2
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // "agg", "nTuples"
+      0x03, 0x00, 0x00, 0x00, 'a', 'g', 'g',
+      0x07, 0x00, 0x00, 0x00, 'n', 'T', 'u', 'p', 'l', 'e', 's',
+      // kind = custom, value = -5, port = 1, output_port = true
+      0x01, 0xfb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+      0x01, 0x00, 0x00, 0x00, 0x01,
+      // PE record count = 1; job = 1, pe = 2
+      0x01, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // "queueSize", kind = builtin, value = 2^30
+      0x09, 0x00, 0x00, 0x00, 'q', 'u', 'e', 'u', 'e', 'S', 'i', 'z', 'e',
+      0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00,
+  };
+  return kFrame;
+}
+
+TEST(FrameCodecTest, EventFrameEncodesToGoldenBytes) {
+  std::vector<uint8_t> payload = EncodeMetricsEvent(7, GoldenSnapshot());
+  std::vector<uint8_t> frame;
+  EncodeFrame(FrameType::kEvent, payload, &frame);
+  EXPECT_EQ(frame, GoldenEventFrame());
+
+  // The session layer writes the header and payload straight into its
+  // output ring; what reaches the wire must be the same bytes.
+  auto [client, server] = LoopbackChannel::CreatePair();
+  FramedConn conn(std::move(client), kMaxFramePayload);
+  ASSERT_TRUE(conn.QueueFrame(FrameType::kEvent, payload));
+  ASSERT_TRUE(conn.Flush(0).ok());
+  std::vector<uint8_t> wire(2 * GoldenEventFrame().size());
+  common::Result<size_t> got = server->Receive(wire.data(), wire.size());
+  ASSERT_TRUE(got.ok());
+  wire.resize(*got);
+  EXPECT_EQ(wire, GoldenEventFrame());
+
+  // And the golden bytes decode back to the snapshot.
+  FrameDecoder decoder;
+  std::vector<DecodedFrame> decoded;
+  ASSERT_TRUE(decoder
+                  .Feed(GoldenEventFrame().data(), GoldenEventFrame().size(),
+                        &decoded)
+                  .ok());
+  ASSERT_EQ(decoded.size(), 1u);
+  EventMsg event;
+  ASSERT_TRUE(DecodeEvent(decoded[0].payload, &event).ok());
+  EXPECT_EQ(event.seq, 7u);
+  ASSERT_EQ(event.snapshot.operator_metrics.size(), 1u);
+  EXPECT_EQ(event.snapshot.operator_metrics[0].metric_name, "nTuples");
+  ASSERT_EQ(event.snapshot.pe_metrics.size(), 1u);
+  EXPECT_EQ(event.snapshot.pe_metrics[0].value, int64_t{1} << 30);
+}
+
 // --- Wire message round trips and hostile payloads ---------------------------
 
 TEST(WireCodecTest, SessionControlMessagesRoundTrip) {
@@ -391,6 +520,18 @@ TEST(WireCodecTest, HostilePayloadsFailCleanlyWithoutUb) {
   writer.U32(0xffffffffu);             // app_name length: hostile
   EventMsg event;
   EXPECT_FALSE(DecodeEvent(writer.Take(), &event).ok());
+
+  // A snapshot declaring 0xFFFFFFFF operator records in a short payload:
+  // the decoder's record reserve must be capped by the bytes left, not
+  // sized from the count.
+  WireWriter snapshot;
+  snapshot.U64(1);                     // seq
+  snapshot.U8(2);                      // kind = kMetricsSnapshot
+  snapshot.F64(0);                     // collected_at
+  snapshot.U32(0xffffffffu);           // operator record count: hostile
+  for (int i = 0; i < 100; ++i) snapshot.U8(0);
+  EventMsg snapshot_event;
+  EXPECT_FALSE(DecodeEvent(snapshot.Take(), &snapshot_event).ok());
 }
 
 TEST(WireCodecTest, UnknownEventKindIsRejected) {

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "net/event_bus_server.h"
 #include "net/loopback_channel.h"
 #include "net/remote_event_sink.h"
+#include "net/wire.h"
 
 namespace orcastream::net {
 namespace {
@@ -234,6 +237,93 @@ TEST(HeartbeatTest, TimersWorkFarFromEpoch) {
                  /*server_on=*/false);
   EXPECT_FALSE(plane.sink.established());
   EXPECT_EQ(plane.sink.last_drop_reason(), "heartbeat timeout");
+}
+
+// --- Frame size limits -------------------------------------------------------
+
+runtime::MetricsSnapshot SnapshotOf(int samples) {
+  runtime::MetricsSnapshot snapshot;
+  snapshot.collected_at = 15.0;
+  for (int i = 0; i < samples; ++i) {
+    runtime::OperatorMetricRecord m;
+    m.job = common::JobId(1 + i % 7);
+    m.pe = common::PeId(i / 5);
+    m.operator_name = "op" + std::to_string(i / 5);
+    m.metric_name = "customMetric" + std::to_string(i % 5);
+    m.kind = runtime::MetricKind::kCustom;
+    m.value = i;
+    snapshot.operator_metrics.push_back(std::move(m));
+  }
+  return snapshot;
+}
+
+// Any frame up to the payload cap can be staged: a ~490 KB snapshot
+// crosses in loopback-ring-sized pieces and does not hold back the
+// events behind it, PE failures included.
+TEST(SessionTest, SnapshotOver256KiBIsDeliveredAndAcked) {
+  FakeClockPlane plane;
+  plane.PumpBoth();
+  plane.RunUntil(0.2);
+  ASSERT_TRUE(plane.sink.established());
+
+  runtime::MetricsSnapshot snapshot = SnapshotOf(10'000);
+  ASSERT_GT(EncodeMetricsEvent(1, snapshot).size(), 256u * 1024u);
+  plane.sink.PublishMetricsSnapshot(snapshot);
+  runtime::PeFailureNotice notice;
+  notice.app_name = "app";
+  notice.reason = "crash behind a large snapshot";
+  plane.sink.OnPeFailure(notice);
+  plane.RunUntil(plane.now + 20.0);
+
+  EXPECT_EQ(plane.server.events_applied(), 2u);
+  EXPECT_EQ(plane.server.last_applied(), 2u);
+  EXPECT_EQ(plane.sink.acked_seq(), 2u);
+  EXPECT_EQ(plane.sink.unacked(), 0u);
+  EXPECT_EQ(plane.sink.events_discarded(), 0u);
+  EXPECT_EQ(plane.sink.connections_dropped(), 0u);
+  EXPECT_EQ(plane.server.connections_dropped(), 0u);
+}
+
+// An event no frame may carry is refused at enqueue: counted, logged and
+// never journaled, so it cannot poison the server's decoder and be
+// resent on every reconnect. The events after it still flow.
+TEST(SessionTest, OverCapEventIsRefusedAtEnqueue) {
+  RemoteEventSink::Config sink_config;
+  sink_config.max_frame_payload = 1024;
+  EventBusServer::Config server_config;
+  server_config.max_frame_payload = 1024;
+  FakeClockPlane plane(sink_config, server_config);
+  plane.PumpBoth();
+  plane.RunUntil(0.2);
+  ASSERT_TRUE(plane.sink.established());
+
+  runtime::MetricsSnapshot snapshot = SnapshotOf(100);
+  ASSERT_GT(EncodeMetricsEvent(1, snapshot).size(), 1024u);
+  std::vector<std::string> logged;
+  common::Logger::Sink previous = common::Logger::Global().SwapSink(
+      [&logged](common::LogLevel, const std::string& message) {
+        logged.push_back(message);
+      });
+  plane.sink.PublishMetricsSnapshot(snapshot);
+  common::Logger::Global().SwapSink(previous);
+
+  EXPECT_EQ(plane.sink.events_discarded(), 1u);
+  EXPECT_EQ(plane.sink.unacked(), 0u);
+  EXPECT_EQ(plane.sink.next_seq(), 1u);  // refused events get no sequence
+  ASSERT_EQ(logged.size(), 1u);
+  EXPECT_NE(logged[0].find("refused"), std::string::npos) << logged[0];
+
+  runtime::PeFailureNotice notice;
+  notice.app_name = "app";
+  notice.reason = "crash after a refused event";
+  plane.sink.OnPeFailure(notice);
+  plane.RunUntil(plane.now + 2.0);
+  EXPECT_EQ(plane.server.events_applied(), 1u);
+  EXPECT_EQ(plane.server.last_applied(), 1u);
+  EXPECT_EQ(plane.sink.acked_seq(), 1u);
+  EXPECT_EQ(plane.sink.unacked(), 0u);
+  EXPECT_EQ(plane.sink.connections_dropped(), 0u);
+  EXPECT_EQ(plane.server.connections_dropped(), 0u);
 }
 
 }  // namespace
