@@ -10,10 +10,12 @@
 // The BM_Registry* cases compare the ScopeRegistry's inverted-index routing
 // against its preserved linear-scan reference path at scale (1k registered
 // subscopes x 10k samples) — the event-routing hot path of the refactored
-// delivery pipeline.
+// delivery pipeline. The BM_BatchSnapshot* cases match one whole
+// multi-application SRM round through the batch call, threaded and serial.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,7 +24,6 @@
 #include "common/rng.h"
 #include "orca/scope_matcher.h"
 #include "orca/scope_registry.h"
-#include "orca/sharded_scope_registry.h"
 #include "topology/app_builder.h"
 
 using namespace orcastream;  // NOLINT — bench brevity
@@ -257,31 +258,31 @@ void BM_RegistryChurnLinear(benchmark::State& state) {
   RegistryChurnLoop<false>(state);
 }
 
-// --- Sharded registry: one multi-app SRM round, matched shard-parallel ------
+// --- Batch matching: one multi-app SRM round through one registry ---------
 
-constexpr int kShardedApps = 8;
+constexpr int kBatchApps = 8;
 
 /// Subscope #i of a multi-application deployment: most filter on their
 /// application plus a metric name, a few are app-only, and a handful are
-/// wildcards that land in the always-consulted residual shard.
-orca::OperatorMetricScope MakeShardedScope(int i, int metric_space) {
+/// wildcards every lookup checks.
+orca::OperatorMetricScope MakeMultiAppScope(int i, int metric_space) {
   orca::OperatorMetricScope scope("scope" + std::to_string(i));
   if (i % 100 == 99) {
     scope.AddOperatorTypeFilter(std::string("Filter"));  // wildcard
   } else if (i % 10 == 9) {
     // App-indexed candidates that still run the full predicate chain.
-    scope.AddApplicationFilter("App" + std::to_string(i % kShardedApps));
+    scope.AddApplicationFilter("App" + std::to_string(i % kBatchApps));
     scope.AddOperatorTypeFilter(std::string("Filter"));
   } else {
-    scope.AddApplicationFilter("App" + std::to_string(i % kShardedApps));
+    scope.AddApplicationFilter("App" + std::to_string(i % kBatchApps));
     scope.AddOperatorMetric("metric" + std::to_string(i % metric_space));
   }
   return scope;
 }
 
 /// One SRM round's operator-metric samples, spread across the apps.
-std::vector<orca::OperatorMetricContext> MakeShardedSamples(int samples,
-                                                            int metric_space) {
+std::vector<orca::OperatorMetricContext> MakeMultiAppSamples(
+    int samples, int metric_space) {
   common::Rng rng(13);
   std::vector<orca::OperatorMetricContext> contexts;
   contexts.reserve(samples);
@@ -289,7 +290,7 @@ std::vector<orca::OperatorMetricContext> MakeShardedSamples(int samples,
     orca::OperatorMetricContext context;
     context.job = common::JobId(1);
     context.application =
-        "App" + std::to_string(rng.UniformInt(0, kShardedApps - 1));
+        "App" + std::to_string(rng.UniformInt(0, kBatchApps - 1));
     context.instance_name = "op" + std::to_string(i % 64);
     context.operator_kind = "Beacon";
     context.metric =
@@ -300,24 +301,28 @@ std::vector<orca::OperatorMetricContext> MakeShardedSamples(int samples,
   return contexts;
 }
 
-/// Sharded path: the whole round batched through the shard-parallel
-/// matcher (the path EventBus::PublishMetricsSnapshot takes for a
-/// ShardedScopeRegistry).
-void BM_ShardedSnapshot(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  const int scopes = static_cast<int>(state.range(1));
-  orca::ShardedScopeRegistry registry(static_cast<size_t>(shards));
-  // Force the shard-parallel gate open (config-driven; the default derives
-  // max_workers from detected cores and keeps single-core hosts serial, which
-  // made this curve flat across shard counts). The bench measures the real
-  // parallel path everywhere; it only *scales* where cores exist.
-  orca::ShardedScopeRegistry::ParallelPolicy parallel;
-  parallel.max_workers = static_cast<size_t>(shards);
-  registry.set_parallel_policy(parallel);
+orca::ScopeRegistry MakeMultiAppRegistry(int scopes) {
+  orca::ScopeRegistry registry;
   for (int i = 0; i < scopes; ++i) {
-    registry.Register(MakeShardedScope(i, scopes));
+    registry.Register(MakeMultiAppScope(i, scopes));
   }
-  auto samples = MakeShardedSamples(static_cast<int>(state.range(2)), scopes);
+  return registry;
+}
+
+/// The whole round through MatchOperatorMetricBatch, the call
+/// EventBus::PublishMetricsSnapshot makes. Threaded keeps the default
+/// ParallelPolicy (a 10k round splits into one chunk per hardware
+/// thread); Serial raises min_samples past the round so the calling
+/// thread matches it all.
+template <bool kThreaded>
+void BatchSnapshotLoop(benchmark::State& state) {
+  const int scopes = static_cast<int>(state.range(0));
+  auto registry = MakeMultiAppRegistry(scopes);
+  if (!kThreaded) {
+    registry.set_parallel_policy(
+        orca::ScopeRegistry::ParallelPolicy{SIZE_MAX});
+  }
+  auto samples = MakeMultiAppSamples(static_cast<int>(state.range(1)), scopes);
   orca::GraphView view;
   size_t matched_total = 0;
   for (auto _ : state) {
@@ -330,15 +335,20 @@ void BM_ShardedSnapshot(benchmark::State& state) {
   state.SetLabel("matched=" + std::to_string(matched_total));
 }
 
+void BM_BatchSnapshotThreaded(benchmark::State& state) {
+  BatchSnapshotLoop<true>(state);
+}
+
+void BM_BatchSnapshotSerial(benchmark::State& state) {
+  BatchSnapshotLoop<false>(state);
+}
+
 /// Linear baseline for the same multi-app round: every sample tested
-/// against every subscope of one unsharded registry (the seed's scan).
-void BM_ShardedSnapshotLinear(benchmark::State& state) {
+/// against every subscope (the seed's scan).
+void BM_BatchSnapshotLinear(benchmark::State& state) {
   const int scopes = static_cast<int>(state.range(0));
-  orca::ScopeRegistry registry;
-  for (int i = 0; i < scopes; ++i) {
-    registry.Register(MakeShardedScope(i, scopes));
-  }
-  auto samples = MakeShardedSamples(static_cast<int>(state.range(1)), scopes);
+  auto registry = MakeMultiAppRegistry(scopes);
+  auto samples = MakeMultiAppSamples(static_cast<int>(state.range(1)), scopes);
   orca::GraphView view;
   size_t matched_total = 0;
   for (auto _ : state) {
@@ -380,16 +390,13 @@ BENCHMARK(BM_RegistryLinearScan)->Args({100, 10000})->Args({1000, 10000});
 BENCHMARK(BM_RegistryChurnIndexed)->Args({1000, 10000});
 BENCHMARK(BM_RegistryChurnLinear)->Args({1000, 10000});
 
-// Args: {shards, registered subscopes, samples per SRM round}. One whole
-// multi-app round matched shard-parallel vs the linear scan over the same
-// population; the 4-shard case is the `scope_matching_sharded` target
-// tracked in BENCH_event_routing.json (≥5× over linear required).
-BENCHMARK(BM_ShardedSnapshot)
-    ->Args({1, 1000, 10000})
-    ->Args({2, 1000, 10000})
-    ->Args({4, 1000, 10000})
-    ->Args({8, 1000, 10000})
-    ->UseRealTime();
-BENCHMARK(BM_ShardedSnapshotLinear)->Args({1000, 10000});
+// Args: {registered subscopes, samples per SRM round}. One whole multi-app
+// round matched through the batch call, threaded and serial, vs the linear
+// scan over the same population; the threaded case is the
+// `scope_matching_batch` target tracked in BENCH_event_routing.json (≥5×
+// over linear required).
+BENCHMARK(BM_BatchSnapshotThreaded)->Args({1000, 10000})->UseRealTime();
+BENCHMARK(BM_BatchSnapshotSerial)->Args({1000, 10000})->UseRealTime();
+BENCHMARK(BM_BatchSnapshotLinear)->Args({1000, 10000});
 
 BENCHMARK_MAIN();

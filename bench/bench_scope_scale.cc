@@ -4,15 +4,14 @@
 // is heavily skewed — a handful of applications produce most of the metric
 // volume. This bench drives the two layers that absorb that skew:
 //
-//   - BM_ZipfMatch{Sticky,Rebalanced}: 1M registered subscopes across 10k
-//     applications in a ShardedScopeRegistry, matched against Zipf(s=1.1)
-//     sample traffic. Sticky keeps the hash placement; Rebalanced lets
-//     MaybeRebalance split hot shards between rounds. Matching is
-//     ~throughput-neutral on a single core — the honest signal is the
-//     hot-shard load share (hot_shard_share counter), which resharding
-//     must push toward 1/shards. The bytes_per_subscope counter records
-//     the heap growth (glibc mallinfo2) of registering the population,
-//     divided by its size.
+//   - BM_ZipfMatch: 1M registered subscopes across 10k applications in one
+//     ScopeRegistry, matched against Zipf(s=1.1) sample traffic through
+//     the batch call (threaded, default ParallelPolicy). Each lookup
+//     intersects from the smallest posting it probes, and every
+//     application registers the same number of subscopes, so a sample of
+//     the hottest application costs what a cold one's does. The
+//     bytes_per_subscope counter records the heap growth (glibc
+//     mallinfo2) of registering the population, divided by its size.
 //
 //   - BM_ZipfDelivery{Unweighted,Weighted}: the same skew through the
 //     async EventBus on a ThreadPoolExecutor, recording *per-delivery
@@ -37,7 +36,7 @@
 #include "common/rng.h"
 #include "orca/dispatch_executor.h"
 #include "orca/event_bus.h"
-#include "orca/sharded_scope_registry.h"
+#include "orca/scope_registry.h"
 #include "sim/simulation.h"
 
 using namespace orcastream;  // NOLINT — bench brevity
@@ -106,83 +105,30 @@ size_t HeapInUse() {
   return info.uordblks + info.hblkhd;
 }
 
-// --- Matching: sticky hash placement vs dynamic resharding -----------------
+// --- Matching ----------------------------------------------------------------
 
-/// Args: {shards, samples per SRM round}. Registers the full 1M-subscope
-/// population, then matches Zipf rounds; the Rebalanced variant runs
-/// MaybeRebalance after each round (as OrcaService does between pulls)
-/// with growth headroom of 2x the starting shard count.
-template <bool kRebalance>
-void ZipfMatchLoop(benchmark::State& state) {
-  const size_t shards = static_cast<size_t>(state.range(0));
-  orca::ShardedScopeRegistry registry(shards);
-  orca::ShardedScopeRegistry::ReshardPolicy policy;
-  policy.enabled = kRebalance;
-  // Default 2.0 ratio: at 16 shards the head application dominates its
-  // hash shard (~3x the mean), so the splitter isolates it; afterwards
-  // the hottest shard is that single application — still above the
-  // ratio, but unsplittable, so the improvement guards go quiet instead
-  // of thrashing.
-  policy.hot_ratio = 2.0;
-  policy.min_matches = 4096;
-  policy.max_moves_per_round = 4;
-  registry.set_reshard_policy(policy);
-  if (kRebalance) registry.set_max_shards(shards * 2);
+/// Arg: samples per SRM round. Registers the full 1M-subscope population,
+/// then matches Zipf rounds through MatchOperatorMetricBatch.
+void BM_ZipfMatch(benchmark::State& state) {
+  orca::ScopeRegistry registry;
   const size_t heap_before = HeapInUse();
   for (int i = 0; i < kScopes; ++i) registry.Register(MakeScaleScope(i));
   const size_t heap_after = HeapInUse();
   auto cdf = ZipfCdf(kApps, kZipfS);
   auto samples =
-      MakeZipfSamples(static_cast<int>(state.range(1)), cdf, /*seed=*/29);
+      MakeZipfSamples(static_cast<int>(state.range(0)), cdf, /*seed=*/29);
   orca::GraphView view;
-  if (kRebalance) {
-    // Let placement converge before timing: the migration burst is a
-    // one-time cost; the recorded throughput is the steady state the
-    // service actually runs at (MaybeRebalance stays in the timed loop,
-    // so residual churn is still charged).
-    for (int round = 0; round < 6; ++round) {
-      auto warm = registry.MatchOperatorMetricBatch(samples, view);
-      benchmark::DoNotOptimize(warm);
-      registry.MaybeRebalance();
-    }
-  }
   size_t matched_total = 0;
   for (auto _ : state) {
     auto results = registry.MatchOperatorMetricBatch(samples, view);
     for (const auto& keys : results) matched_total += keys.size();
     benchmark::DoNotOptimize(results);
-    if (kRebalance) registry.MaybeRebalance();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(samples.size()));
-  // Load-share counters from the observability surface: the hottest
-  // shard's fraction of charged match volume (residual row excluded —
-  // every subscope here is application-filtered).
-  auto loads = registry.shard_loads();
-  uint64_t max_matches = 0, total_matches = 0;
-  for (size_t i = 0; i + 1 < loads.size(); ++i) {
-    max_matches = std::max(max_matches, loads[i].matches);
-    total_matches += loads[i].matches;
-  }
-  if (total_matches > 0) {
-    state.counters["hot_shard_share"] =
-        static_cast<double>(max_matches) / static_cast<double>(total_matches);
-  }
   state.counters["bytes_per_subscope"] =
       static_cast<double>(heap_after - heap_before) / kScopes;
-  state.counters["shards"] = static_cast<double>(registry.shard_count());
-  state.counters["reshards"] = static_cast<double>(registry.reshard_count());
-  state.counters["migrated"] =
-      static_cast<double>(registry.migrated_subscopes());
   state.SetLabel("matched=" + std::to_string(matched_total));
-}
-
-void BM_ZipfMatchSticky(benchmark::State& state) {
-  ZipfMatchLoop<false>(state);
-}
-
-void BM_ZipfMatchRebalanced(benchmark::State& state) {
-  ZipfMatchLoop<true>(state);
 }
 
 // --- Delivery latency: weighted + batched vs FIFO + one-at-a-time ----------
@@ -290,11 +236,7 @@ void BM_ZipfDeliveryWeighted(benchmark::State& state) {
 // Fixed iteration counts: each benchmark entry registers the 1M-subscope
 // population (or publishes a full burst) in setup, so calibration re-runs
 // would dominate wall time without adding signal.
-BENCHMARK(BM_ZipfMatchSticky)->Args({16, 20000})->Iterations(3)->UseRealTime();
-BENCHMARK(BM_ZipfMatchRebalanced)
-    ->Args({16, 20000})
-    ->Iterations(3)
-    ->UseRealTime();
+BENCHMARK(BM_ZipfMatch)->Arg(20000)->Iterations(3)->UseRealTime();
 
 BENCHMARK(BM_ZipfDeliveryUnweighted)
     ->Arg(100000)

@@ -7,7 +7,7 @@
 #
 # --only reruns a single gated key and merge-updates its section of the
 # recorded JSON, leaving every other section untouched. Keys:
-#   scope_matching | scope_matching_churn | scope_matching_sharded
+#   scope_matching | scope_matching_churn | scope_matching_batch
 #   scope_matching_zipf | scope_matching_plan
 #   event_delivery | event_delivery_async | event_delivery_async_actuating
 #   latency_slo
@@ -38,7 +38,7 @@ RUN_SCOPE=0 RUN_SCALE=0 RUN_PLAN=0 RUN_DELIVERY=0 RUN_LATENCY=0
 case "$ONLY" in
   "")
     RUN_SCOPE=1 RUN_SCALE=1 RUN_PLAN=1 RUN_DELIVERY=1 RUN_LATENCY=1 ;;
-  scope_matching|scope_matching_churn|scope_matching_sharded)
+  scope_matching|scope_matching_churn|scope_matching_batch)
     RUN_SCOPE=1 ;;
   scope_matching_zipf)
     RUN_SCALE=1 ;;
@@ -77,7 +77,7 @@ PLAN_JSON="$BUILD_DIR/bench_predicate_plan.json"
 
 if (( RUN_SCOPE )); then
   "$BUILD_DIR/bench_scope_matching" \
-    --benchmark_filter='Registry|Sharded' \
+    --benchmark_filter='Registry|BatchSnapshot' \
     --benchmark_format=json >"$SCOPE_JSON"
 fi
 if (( RUN_DELIVERY )); then
@@ -143,8 +143,8 @@ result["bench"] = "event_routing"
 result["description"] = (
     "ScopeRegistry indexed routing vs preserved linear-scan reference at "
     "1k subscopes x 10k samples (static and register/match/unregister "
-    "churn workloads), ShardedScopeRegistry multi-app SRM rounds at "
-    "1/2/4/8 shards, million-scope Zipf-skew matching + delivery latency, "
+    "churn workloads), one multi-app SRM round batch-matched threaded and "
+    "serial, million-scope Zipf-skew matching + delivery latency, "
     "compound-predicate ShapeIndex intersection vs linear scan, plus "
     "EventBus dispatch throughput (events/s)")
 
@@ -156,11 +156,11 @@ if run_scope:
     linear = require(scope, "BM_RegistryLinearScan/1000/10000")
     churn_indexed = require(scope, "BM_RegistryChurnIndexed/1000/10000")
     churn_linear = require(scope, "BM_RegistryChurnLinear/1000/10000")
-    sharded = {
-        n: require(scope, f"BM_ShardedSnapshot/{n}/1000/10000/real_time")
-        for n in (1, 2, 4, 8)
-    }
-    sharded_linear = require(scope, "BM_ShardedSnapshotLinear/1000/10000")
+    batch_threaded = require(scope,
+                             "BM_BatchSnapshotThreaded/1000/10000/real_time")
+    batch_serial = require(scope,
+                           "BM_BatchSnapshotSerial/1000/10000/real_time")
+    batch_linear = require(scope, "BM_BatchSnapshotLinear/1000/10000")
     result["scope_matching"] = {
         "indexed_items_per_second": indexed,
         "linear_items_per_second": linear,
@@ -174,52 +174,46 @@ if run_scope:
         "required_speedup": 5.0,
     }
     # One whole multi-app SRM round (8 apps, 1k subscopes x 10k samples)
-    # matched through ShardedScopeRegistry with the shard-parallel gate
-    # forced open (config-driven ParallelPolicy), vs the linear scan over
-    # the same subscope population. The 4-shard case is gated.
-    result["scope_matching_sharded"] = {
-        "sharded_items_per_second": {
-            f"shards_{n}": value for n, value in sharded.items()
-        },
-        "indexed_items_per_second": sharded[4],
-        "linear_items_per_second": sharded_linear,
-        "speedup": sharded[4] / sharded_linear,
+    # through ScopeRegistry::MatchOperatorMetricBatch: threaded with the
+    # default ParallelPolicy (one contiguous chunk per hardware thread)
+    # and serial on the calling thread. The threaded round is gated
+    # against the linear scan over the same population; threaded_vs_serial
+    # records what the threads buy on this host (recorded, not gated).
+    result.pop("scope_matching_sharded", None)
+    result["scope_matching_batch"] = {
+        "threaded_items_per_second": batch_threaded,
+        "serial_items_per_second": batch_serial,
+        "linear_items_per_second": batch_linear,
+        "threaded_vs_serial": batch_threaded / batch_serial,
+        "hardware_threads": os.cpu_count(),
+        "speedup": batch_threaded / batch_linear,
         "required_speedup": 5.0,
     }
     computed += ["scope_matching", "scope_matching_churn",
-                 "scope_matching_sharded"]
+                 "scope_matching_batch"]
 
 if run_scale:
     scale = load(scale_path)
-    zipf_sticky = "BM_ZipfMatchSticky/16/20000"
-    zipf_rebalanced = "BM_ZipfMatchRebalanced/16/20000"
+    zipf_match = "BM_ZipfMatch/20000"
     zipf_unweighted = "BM_ZipfDeliveryUnweighted/100000"
     zipf_weighted = "BM_ZipfDeliveryWeighted/100000"
     unweighted_p99 = require(scale, zipf_unweighted, "p99_us")
     weighted_p99 = require(scale, zipf_weighted, "p99_us")
     # Million-scope scale under Zipf(s=1.1) skew: 1M subscopes across 10k
-    # applications. Matching compares sticky hash placement against
-    # dynamic hot-shard splitting (hot_shard_share = the hottest shard's
-    # fraction of match volume; its floor is the head application's
-    # traffic share). Delivery pushes 100k skewed events through the
-    # async EventBus on a worker pool: FIFO one-at-a-time vs weighted
-    # dispatch with 64-delivery batching, gated on p99 publish-to-handler
-    # latency (lower is better; speedup = unweighted_p99/weighted_p99).
+    # applications in one ScopeRegistry, matched through the threaded
+    # batch call (match_items_per_second). Delivery pushes 100k skewed
+    # events through the async EventBus on a worker pool: FIFO
+    # one-at-a-time vs weighted dispatch with 64-delivery batching, gated
+    # on p99 publish-to-handler latency (lower is better; speedup =
+    # unweighted_p99/weighted_p99).
     # bytes_per_subscope is the heap growth of registering the 1M
     # population divided by its size: recorded, not gated.
     result["scope_matching_zipf"] = {
         "scopes": 1000000,
         "applications": 10000,
         "zipf_s": 1.1,
-        "sticky_items_per_second": require(scale, zipf_sticky),
-        "rebalanced_items_per_second": require(scale, zipf_rebalanced),
-        "sticky_hot_shard_share": require(scale, zipf_sticky,
-                                          "hot_shard_share"),
-        "rebalanced_hot_shard_share": require(scale, zipf_rebalanced,
-                                              "hot_shard_share"),
-        "reshards": require(scale, zipf_rebalanced, "reshards"),
-        "migrated_subscopes": require(scale, zipf_rebalanced, "migrated"),
-        "bytes_per_subscope": require(scale, zipf_sticky,
+        "match_items_per_second": require(scale, zipf_match),
+        "bytes_per_subscope": require(scale, zipf_match,
                                       "bytes_per_subscope"),
         "delivery_unweighted_p50_us": require(scale, zipf_unweighted,
                                               "p50_us"),

@@ -16,8 +16,8 @@ stripped source, like check_orca_api.py), with an explicit allowlist:
   randomness         no rand()/random_device/raw mt19937; randomness is
                      the seeded common::Rng.
   raw_thread         no std::thread outside the two sanctioned pools
-                     (ThreadPoolExecutor workers, ShardedScopeRegistry
-                     batch matchers).
+                     (ThreadPoolExecutor workers, ScopeRegistry's batch
+                     matcher).
   thread_detach      no .detach() anywhere — every thread is joined.
   sleep              no sleep_for/sleep_until/usleep/...; waiting is a
                      CondVar timed wait or a sim event.
@@ -80,7 +80,7 @@ PATTERN_RULES = {
     "raw_thread": (
         re.compile(r"\bstd\s*::\s*thread\b"),
         "raw std::thread — threads live in ThreadPoolExecutor or the "
-        "sharded registry's batch matcher"),
+        "scope registry's batch matcher"),
     "thread_detach": (
         re.compile(r"\.\s*detach\s*\(\s*\)"),
         "detached thread — every thread must be joined"),

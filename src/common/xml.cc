@@ -269,7 +269,13 @@ class XmlParser {
     return out;
   }
 
-  Result<std::unique_ptr<XmlElement>> ParseElement() {
+  /// `depth` is the nesting level of the element being parsed (root = 1).
+  Result<std::unique_ptr<XmlElement>> ParseElement(int depth = 1) {
+    if (depth > XmlElement::kMaxDepth) {
+      return Status::ParseError(
+          StrFormat("elements nested deeper than %d levels at offset %zu",
+                    XmlElement::kMaxDepth, pos_));
+    }
     if (pos_ >= input_.size() || input_[pos_] != '<') {
       return Status::ParseError(StrFormat("expected '<' at offset %zu", pos_));
     }
@@ -336,7 +342,7 @@ class XmlParser {
           ++pos_;
           break;
         }
-        auto child = ParseElement();
+        auto child = ParseElement(depth + 1);
         if (!child.ok()) return child.status();
         // Transfer ownership into the parent.
         element->AddChildOwned(std::move(child).value());

@@ -15,8 +15,15 @@ namespace orcastream::common {
 /// supported subset covers elements, double-quoted attributes, character
 /// data, comments, and the `<?xml?>` declaration — everything the ADL
 /// format needs, nothing more.
+///
+/// ParseXml accepts at most kMaxDepth levels of element nesting (the root
+/// is level 1); a deeper document is a ParseError. The parser recurses
+/// once per level, so without the bound a hostile document could exhaust
+/// the stack.
 class XmlElement {
  public:
+  static constexpr int kMaxDepth = 256;
+
   explicit XmlElement(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }

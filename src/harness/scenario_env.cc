@@ -19,8 +19,6 @@ ScenarioEnv::ScenarioEnv(const ScenarioOptions& options)
   config.name = "soak_orca";
   config.metric_pull_period = options.metric_pull_period;
   config.dispatch_interval = options.dispatch_interval;
-  config.scope_shards = options.scope_shards;
-  config.dynamic_resharding = options.dynamic_resharding;
   config.weighted_dispatch = options.weighted_dispatch;
   config.max_batch_per_step = options.max_batch_per_step;
   switch (options.mode) {

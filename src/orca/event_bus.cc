@@ -7,7 +7,6 @@
 #include "common/strings.h"
 #include "orca/orca_context.h"
 #include "orca/orca_service.h"
-#include "orca/sharded_scope_registry.h"
 
 namespace orcastream::orca {
 
@@ -24,9 +23,8 @@ struct ThreadDelivery {
 };
 thread_local ThreadDelivery tls_delivery;
 
-/// Context construction shared by the single-registry and sharded
-/// snapshot paths (field-for-field identical so the two event streams
-/// stay byte-identical). Returns nullopt for samples of unmanaged jobs.
+/// One sample's metric context, resolved against the graph view. Returns
+/// nullopt for samples of unmanaged jobs.
 std::optional<OperatorMetricContext> BuildMetricContext(
     const runtime::OperatorMetricRecord& rec, int64_t epoch,
     sim::SimTime collected_at, const GraphView& graph) {
@@ -94,25 +92,8 @@ Event MakeMetricEvent(PeMetricContext context,
   return event;
 }
 
-/// The per-sample snapshot path, shared by the operator- and PE-metric
-/// record types: build the context, match it, publish when it crossed a
-/// scope.
-template <typename Record, typename Matcher>
-void MatchAndPublish(EventBus* bus, const std::vector<Record>& records,
-                     int64_t epoch, sim::SimTime collected_at,
-                     const GraphView& graph, Matcher matcher) {
-  for (const Record& rec : records) {
-    auto context = BuildMetricContext(rec, epoch, collected_at, graph);
-    if (!context.has_value()) continue;
-    std::vector<std::string> matched = matcher(*context);
-    if (matched.empty()) continue;
-    bus->Publish(MakeMetricEvent(std::move(*context), std::move(matched)));
-  }
-}
-
-/// Batch phase 1 (sharded path): every sample's context up front (cheap
-/// graph lookups), so the whole round can be matched in one
-/// shard-parallel batch.
+/// Every sample's context up front (cheap graph lookups), so the whole
+/// round can be matched in one batch call.
 template <typename Record>
 auto BuildContextBatch(const std::vector<Record>& records, int64_t epoch,
                        sim::SimTime collected_at, const GraphView& graph) {
@@ -127,9 +108,8 @@ auto BuildContextBatch(const std::vector<Record>& records, int64_t epoch,
   return contexts;
 }
 
-/// Batch phase 3: publish serially in snapshot order — delivery order
-/// (and the whole event stream) is identical to the single-registry
-/// overload.
+/// Publishes the matched samples serially in snapshot order, so the event
+/// stream is the same whichever way the batch was matched.
 template <typename Context>
 void PublishMatchedBatch(EventBus* bus, std::vector<Context>& contexts,
                          std::vector<std::vector<std::string>>& matched) {
@@ -550,24 +530,8 @@ void EventBus::PublishMetricsSnapshot(const runtime::MetricsSnapshot& snapshot,
                                       int64_t epoch,
                                       const ScopeRegistry& registry,
                                       const GraphView& graph) {
-  MatchAndPublish(this, snapshot.operator_metrics, epoch,
-                  snapshot.collected_at, graph,
-                  [&](const OperatorMetricContext& context) {
-                    return registry.MatchedKeys(context, graph);
-                  });
-  MatchAndPublish(this, snapshot.pe_metrics, epoch, snapshot.collected_at,
-                  graph, [&](const PeMetricContext& context) {
-                    return registry.MatchedKeys(context);
-                  });
-}
-
-void EventBus::PublishMetricsSnapshot(const runtime::MetricsSnapshot& snapshot,
-                                      int64_t epoch,
-                                      const ShardedScopeRegistry& registry,
-                                      const GraphView& graph) {
-  // Phase 1: build every sample's context up front; phase 2: match
-  // shard-parallel (threads never touch the bus); phase 3: publish
-  // serially in snapshot order.
+  // Build every sample's context, match the round in one batch (threads
+  // never touch the bus), then publish serially in snapshot order.
   auto op_contexts = BuildContextBatch(snapshot.operator_metrics, epoch,
                                        snapshot.collected_at, graph);
   auto pe_contexts = BuildContextBatch(snapshot.pe_metrics, epoch,

@@ -25,7 +25,6 @@
 namespace orcastream::orca {
 
 class OrcaService;
-class ShardedScopeRegistry;
 
 /// Typed envelope for one event awaiting delivery. Both the SRM metric
 /// pull path and the SAM failure push path feed these into the bus; the
@@ -192,21 +191,14 @@ class EventBus {
   /// start-before-survivors ordering across all application queues.
   void PublishFront(Event event);
 
-  /// Routes one SRM snapshot through the registry in a single pass (§4.2):
-  /// builds the metric contexts against the graph view, matches each
-  /// sample, and publishes an event per sample that crossed the scope.
-  /// `epoch` is the logical clock of the pull round.
+  /// Routes one SRM snapshot through the registry (§4.2): builds every
+  /// sample's metric context against the graph view, matches the round in
+  /// one batch call (threaded when large, see
+  /// ScopeRegistry::ParallelPolicy), then publishes an event per sample
+  /// that crossed a scope, in snapshot order. `epoch` is the logical clock
+  /// of the pull round.
   void PublishMetricsSnapshot(const runtime::MetricsSnapshot& snapshot,
                               int64_t epoch, const ScopeRegistry& registry,
-                              const GraphView& graph);
-
-  /// Same contract against a sharded registry: the snapshot's samples are
-  /// matched shard-parallel (bucketed by owning application shard), then
-  /// published serially in snapshot order — the resulting event stream is
-  /// byte-identical to the single-registry overload's.
-  void PublishMetricsSnapshot(const runtime::MetricsSnapshot& snapshot,
-                              int64_t epoch,
-                              const ShardedScopeRegistry& registry,
                               const GraphView& graph);
 
   /// Scrubs queued (undelivered) PE-failure events against the live scope

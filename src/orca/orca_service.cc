@@ -54,23 +54,14 @@ OrcaService::OrcaService(sim::Simulation* sim, runtime::Sam* sam,
       sam_(sam),
       srm_(srm),
       config_(config),
-      scopes_(config.scope_shards),
       bus_(sim, MakeBusConfig(config)),
       pull_task_(sim, config.metric_pull_period,
                  [this] { PullMetricsRound(); }) {
   // Per-delivery OrcaContexts actuate against this service (immediate on
   // the sim thread, staged from worker threads).
   bus_.BindService(this);
-  ShardedScopeRegistry::ReshardPolicy reshard;
-  reshard.enabled = config_.dynamic_resharding;
-  reshard.hot_ratio = config_.reshard_hot_ratio;
-  reshard.min_matches = config_.reshard_min_matches;
-  scopes_.set_reshard_policy(reshard);
-  scopes_.set_max_shards(config_.max_scope_shards);
-  ShardedScopeRegistry::ParallelPolicy parallel;
-  parallel.min_samples = config_.parallel_match_min_samples;
-  parallel.min_busy_shards = config_.parallel_match_min_busy_shards;
-  scopes_.set_parallel_policy(parallel);
+  scopes_.set_parallel_policy(
+      ScopeRegistry::ParallelPolicy{config_.parallel_match_min_samples});
   RefreshSnapshot();
 }
 
@@ -740,11 +731,6 @@ void OrcaService::PublishSnapshotRound(
   // round (graph/app state was already refreshed by whatever mutated it).
   TouchStagedClock();
   bus_.PublishMetricsSnapshot(snapshot, epoch, scopes_, graph_);
-  // With the round's match volume charged to the per-shard counters,
-  // let the splitter migrate hot applications off overloaded shards
-  // (no-op unless Config::dynamic_resharding and a shard is actually
-  // hot). Runs on the sim thread, like all registry mutation.
-  scopes_.MaybeRebalance();
 }
 
 // --- Remote event plane ------------------------------------------------------

@@ -26,7 +26,6 @@
 #include "orca/orca_context.h"
 #include "orca/orchestrator.h"
 #include "orca/scope_registry.h"
-#include "orca/sharded_scope_registry.h"
 #include "orca/transaction_log.h"
 #include "runtime/event_sink.h"
 #include "runtime/sam.h"
@@ -63,10 +62,8 @@ class OrcaService : private runtime::EventSink {
     /// Spacing between successive queued event deliveries (models the
     /// time consumed by user handlers; 0 = back-to-back).
     double dispatch_interval = 0.0;
-    /// Number of per-application ScopeRegistry shards the service
-    /// partitions its subscopes across (see ShardedScopeRegistry; clamped
-    /// to at least 1). Match results are independent of the setting; it
-    /// controls how far SRM snapshot matching can parallelize.
+    /// Ignored: every subscope lives in one ScopeRegistry. Kept for
+    /// pipebench/; delete with the next benchmark change.
     size_t scope_shards = 4;
     /// Async event dispatch: 0 (default) keeps the serial one-at-a-time
     /// delivery queue; N > 0 installs a ThreadPoolExecutor with N workers
@@ -96,25 +93,11 @@ class OrcaService : private runtime::EventSink {
     /// cost) runnable queue first instead of FIFO; executors bound
     /// starvation of cold queues (see ThreadPoolExecutor).
     bool weighted_dispatch = true;
-    /// Enables hot-shard splitting: after each metric pull round the
-    /// service may migrate an overloaded shard's applications (their
-    /// co-pinned subscope groups) to an underloaded or new shard. Match
-    /// results and event order are unaffected — only placement moves.
-    bool dynamic_resharding = true;
-    /// A shard is "hot" when its observed match volume exceeds
-    /// hot_ratio × the mean shard volume (and the total exceeds
-    /// reshard_min_matches — no thrash on idle services).
-    double reshard_hot_ratio = 2.0;
-    uint64_t reshard_min_matches = 4096;
-    /// Upper bound on shards the splitter may grow to (0 = stay at
-    /// scope_shards; splitting then only rebalances across existing
-    /// shards).
-    size_t max_scope_shards = 0;
-    /// Shard-parallel snapshot matching gates (see
-    /// ShardedScopeRegistry::ParallelPolicy): minimum samples per round
-    /// and minimum busy shards before worker threads are spawned.
-    size_t parallel_match_min_samples = 64;
-    size_t parallel_match_min_busy_shards = 2;
+    /// The fewest SRM samples one matching thread takes (see
+    /// ScopeRegistry::ParallelPolicy): a round of n samples is matched in
+    /// clamp(n / parallel_match_min_samples, 1, hardware threads)
+    /// contiguous chunks.
+    size_t parallel_match_min_samples = 1024;
     /// Remote event plane (src/net/): when set, Load registers this sink
     /// with SAM instead of the service itself, so PE failure
     /// notifications leave the runtime through the transport and come
@@ -213,8 +196,8 @@ class OrcaService : private runtime::EventSink {
 
   void ClearEventScopes();
 
-  /// The sharded indexed registry holding every registered subscope.
-  const ShardedScopeRegistry& scopes() const { return scopes_; }
+  /// The indexed registry holding every registered subscope.
+  const ScopeRegistry& scopes() const { return scopes_; }
 
   // --- Application registry and dependencies (§4.4) -----------------------
 
@@ -300,9 +283,8 @@ class OrcaService : private runtime::EventSink {
 
   /// Applies a metric snapshot pushed by a remote runtime's metric pump.
   /// Runs the same publication round as the in-process pull path
-  /// (staged-actuation drain, epoch bump, snapshot publish, shard
-  /// rebalance), so remote and in-process runs advance the same logical
-  /// clocks in the same order.
+  /// (staged-actuation drain, epoch bump, snapshot publish), so remote and
+  /// in-process runs advance the same logical clocks in the same order.
   void IngestMetricsSnapshot(const runtime::MetricsSnapshot& snapshot);
 
   /// The managed jobs a metric round queries, in the service's own pull
@@ -331,17 +313,16 @@ class OrcaService : private runtime::EventSink {
   size_t queue_depth() const { return bus_.queue_depth(); }
   int64_t metric_epoch() const { return metric_epoch_; }
 
-  // Shard observability (sim-thread reads; the per-route counters are
-  // plain fields bumped by the matching thread, not atomics).
-  std::vector<ShardedScopeRegistry::ShardLoad> shard_loads() const {
-    return scopes_.shard_loads();
-  }
-  uint64_t reshard_count() const { return scopes_.reshard_count(); }
-  uint64_t migrated_subscopes() const { return scopes_.migrated_subscopes(); }
-
-  // Retired planner counters, all-zero (see plan::PlanStats); kept only
-  // because the pipeline benchmark still reads them.
-  plan::PlanStats plan_stats() const { return scopes_.plan_stats(); }
+  // Kept for pipebench/; delete with the next benchmark change. The
+  // pipeline benchmark still reads these retired shard and planner
+  // counters: there are no shards (shard_loads() is empty, reshard_count()
+  // is 0) and no planner (plan_stats() is all-zero).
+  struct ShardLoad {
+    uint64_t matches = 0;
+  };
+  std::vector<ShardLoad> shard_loads() const { return {}; }
+  uint64_t reshard_count() const { return 0; }
+  plan::PlanStats plan_stats() const { return {}; }
 
   // Reaction-latency observability (the paper's Figs 7–10 metric): one
   // detection→actuation sample per actuating delivery, bucketed by event
@@ -477,7 +458,7 @@ class OrcaService : private runtime::EventSink {
 
   void PullMetricsRound();
   /// Shared tail of PullMetricsRound and IngestMetricsSnapshot: epoch
-  /// bump, staged-clock touch, snapshot publication, shard rebalance.
+  /// bump, staged-clock touch, snapshot publication.
   void PublishSnapshotRound(const runtime::MetricsSnapshot& snapshot);
   /// runtime::EventSink — SAM pushes PE failure notifications for managed
   /// jobs here (§4.2).
@@ -507,7 +488,7 @@ class OrcaService : private runtime::EventSink {
   common::OrcaId orca_id_;
   GraphView graph_;
 
-  ShardedScopeRegistry scopes_;
+  ScopeRegistry scopes_;
   /// Generation tag of the currently loaded logic's scope registrations
   /// (0 while no logic is loaded — see RegisterEventScope).
   ScopeRegistry::Generation logic_generation_ = 0;

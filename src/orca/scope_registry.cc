@@ -1,6 +1,8 @@
 #include "orca/scope_registry.h"
 
 #include <algorithm>
+#include <exception>
+#include <thread>
 #include <type_traits>
 #include <utility>
 
@@ -46,34 +48,24 @@ plan::AttributeValues IndexValuesOf(const UserEventScope& scope) {
 }
 
 /// Collects the index candidates for the probe values, then runs `match`
-/// over them (already in registration order) and keeps key + sequence of
-/// the matching live subscopes. Tombstoned slots are skipped here rather
-/// than scrubbed from the index, so unregistration stays O(1) until
-/// compaction reclaims the positions.
+/// over them (already in registration order) and keeps the keys of the
+/// matching live subscopes. Tombstoned slots are skipped here rather than
+/// scrubbed from the index, so unregistration stays O(1) until compaction
+/// reclaims the positions.
 template <typename Store, typename Match>
-std::vector<SeqKey> IndexedMatch(
+std::vector<std::string> IndexedMatch(
     const Store& store, std::initializer_list<const std::string*> probes,
     Match match) {
   // Reused per thread (batch workers match concurrently): a lookup then
   // allocates nothing for its candidates once the buffer has grown.
   thread_local std::vector<uint32_t> candidates;
   store.index.Collect(probes, &candidates);
-  std::vector<SeqKey> matched;
+  std::vector<std::string> matched;
   for (uint32_t position : candidates) {
     const auto& slot = store.slots[position];
-    if (slot.live && match(slot.scope)) {
-      matched.push_back(SeqKey{slot.sequence, slot.scope.key()});
-    }
+    if (slot.live && match(slot.scope)) matched.push_back(slot.scope.key());
   }
   return matched;
-}
-
-/// MatchedKeys = MatchedSeqKeys minus the sequence annotations.
-std::vector<std::string> StripSeq(std::vector<SeqKey> seq_keys) {
-  std::vector<std::string> keys;
-  keys.reserve(seq_keys.size());
-  for (SeqKey& seq_key : seq_keys) keys.push_back(std::move(seq_key.key));
-  return keys;
 }
 
 /// The seed's linear scan: every live subscope, in registration order.
@@ -85,6 +77,68 @@ std::vector<std::string> KeysOfAll(const std::vector<Slot>& slots,
     if (slot.live && match(slot.scope)) matched.push_back(slot.scope.key());
   }
   return matched;
+}
+
+/// How many contiguous parts a batch of `samples` is matched in: one per
+/// `min_samples` samples, at least one and at most one per hardware
+/// thread (an unknown count means one).
+size_t PartCount(size_t samples, size_t min_samples) {
+  static const size_t kHardwareThreads =
+      std::max<size_t>(std::thread::hardware_concurrency(), 1);
+  const size_t parts = samples / std::max<size_t>(min_samples, 1);
+  return std::clamp<size_t>(parts, 1, kHardwareThreads);
+}
+
+/// results[i] = match(contexts[i]), with the batch cut into contiguous
+/// parts: the calling thread matches the first, one worker each the
+/// rest. Workers write disjoint result slots and only read the registry.
+template <typename Context, typename Match>
+std::vector<std::vector<std::string>> MatchInParts(
+    const std::vector<Context>& contexts, size_t min_samples, Match match) {
+  std::vector<std::vector<std::string>> results(contexts.size());
+  const size_t parts = PartCount(contexts.size(), min_samples);
+  auto run_part = [&](size_t part) {
+    const size_t end = contexts.size() * (part + 1) / parts;
+    for (size_t i = contexts.size() * part / parts; i < end; ++i) {
+      results[i] = match(contexts[i]);
+    }
+  };
+  if (parts == 1) {
+    run_part(0);
+    return results;
+  }
+  std::vector<std::exception_ptr> worker_errors(parts);
+  std::vector<std::thread> workers;
+  workers.reserve(parts - 1);
+  {
+    // Joins on every exit path: destroying a joinable std::thread calls
+    // std::terminate, so an exception mid-batch must still join first.
+    struct JoinGuard {
+      std::vector<std::thread>& threads;
+      ~JoinGuard() {
+        for (auto& thread : threads) {
+          if (thread.joinable()) thread.join();
+        }
+      }
+    } join_guard{workers};
+    for (size_t part = 1; part < parts; ++part) {
+      workers.emplace_back([&, part] {
+        // An exception escaping a thread body would terminate the
+        // process; capture it and rethrow on the calling thread so the
+        // threaded path fails like the serial one.
+        try {
+          run_part(part);
+        } catch (...) {
+          worker_errors[part] = std::current_exception();
+        }
+      });
+    }
+    run_part(0);
+  }
+  for (const std::exception_ptr& error : worker_errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return results;
 }
 
 }  // namespace
@@ -108,8 +162,7 @@ void ScopeRegistry::WithStore(Self& self, ScopeType type, Fn&& fn) {
 }
 
 template <typename Scope>
-void ScopeRegistry::Insert(Scope scope, Generation generation,
-                           uint64_t sequence) {
+void ScopeRegistry::Insert(Scope scope) {
   ForEachStore(*this, [&](auto& store, ScopeType type) {
     if constexpr (std::is_same_v<std::decay_t<decltype(store)>,
                                  Store<Scope>>) {
@@ -117,7 +170,7 @@ void ScopeRegistry::Insert(Scope scope, Generation generation,
       store.index.Add(position, IndexValuesOf(scope));
       key_map_[scope.key()].push_back(SlotRef{type, position});
       store.slots.push_back(
-          Slot<Scope>{std::move(scope), generation, sequence, /*live=*/true});
+          Slot<Scope>{std::move(scope), current_generation_, /*live=*/true});
     }
   });
 }
@@ -133,17 +186,11 @@ bool ScopeRegistry::Kill(Store<Scope>& store, uint32_t position) {
 }
 
 template <typename Scope>
-void ScopeRegistry::Rebuild(Store<Scope>& store, bool sort_by_sequence) {
+void ScopeRegistry::Rebuild(Store<Scope>& store) {
   std::vector<Slot<Scope>> live;
   live.reserve(store.live_count());
   for (Slot<Scope>& slot : store.slots) {
     if (slot.live) live.push_back(std::move(slot));
-  }
-  if (sort_by_sequence) {
-    std::sort(live.begin(), live.end(),
-              [](const Slot<Scope>& a, const Slot<Scope>& b) {
-                return a.sequence < b.sequence;  // sequences are unique
-              });
   }
   store.slots = std::move(live);
   store.dead = 0;
@@ -157,77 +204,19 @@ void ScopeRegistry::Rebuild(Store<Scope>& store, bool sort_by_sequence) {
 // --- Registration lifecycle -------------------------------------------------
 
 void ScopeRegistry::Register(OperatorMetricScope scope) {
-  Insert(std::move(scope), current_generation_, next_sequence_++);
+  Insert(std::move(scope));
 }
 void ScopeRegistry::Register(PeMetricScope scope) {
-  Insert(std::move(scope), current_generation_, next_sequence_++);
+  Insert(std::move(scope));
 }
 void ScopeRegistry::Register(PeFailureScope scope) {
-  Insert(std::move(scope), current_generation_, next_sequence_++);
+  Insert(std::move(scope));
 }
 void ScopeRegistry::Register(JobEventScope scope) {
-  Insert(std::move(scope), current_generation_, next_sequence_++);
+  Insert(std::move(scope));
 }
 void ScopeRegistry::Register(UserEventScope scope) {
-  Insert(std::move(scope), current_generation_, next_sequence_++);
-}
-
-// --- Subscope migration (shard rebalancing) ---------------------------------
-
-std::vector<ScopeRegistry::ExtractedScope> ScopeRegistry::ExtractKeys(
-    const std::vector<std::string>& keys) {
-  std::vector<ExtractedScope> out;
-  for (const std::string& key : keys) {
-    auto it = key_map_.find(key);
-    if (it == key_map_.end()) continue;
-    for (const SlotRef& ref : it->second) {
-      WithStore(*this, ref.type, [&](auto& store) {
-        // Tombstoned like Unregister; the dead slot keeps only its stamps.
-        if (!Kill(store, ref.position)) return;
-        auto& slot = store.slots[ref.position];
-        out.push_back(ExtractedScope{std::move(slot.scope), slot.generation,
-                                     slot.sequence});
-      });
-    }
-    key_map_.erase(it);
-  }
-  MaybeCompact();
-  return out;
-}
-
-void ScopeRegistry::InsertExtracted(std::vector<ExtractedScope> extracted) {
-  if (extracted.empty()) return;
-  for (ExtractedScope& item : extracted) {
-    std::visit(
-        [&](auto& scope) {
-          Insert(std::move(scope), item.generation, item.sequence);
-        },
-        item.scope);
-  }
-  // Live slot positions must ascend by sequence: MatchedSeqKeys walks
-  // candidate positions in ascending order and promises its results are
-  // sequence-ascending (the merge contract), and the linear oracle equates
-  // slot order with registration order. Appends of migrated subscopes can
-  // land below existing sequences, so re-sort the stores where they did.
-  bool moved = false;
-  ForEachStore(*this, [&moved](auto& store, ScopeType) {
-    bool sorted = true;
-    bool have_previous = false;
-    uint64_t previous = 0;
-    for (const auto& slot : store.slots) {
-      if (!slot.live) continue;
-      if (have_previous && slot.sequence < previous) {
-        sorted = false;
-        break;
-      }
-      previous = slot.sequence;
-      have_previous = true;
-    }
-    if (sorted) return;
-    Rebuild(store, /*sort_by_sequence=*/true);
-    moved = true;
-  });
-  if (moved) RebuildKeyMap();
+  Insert(std::move(scope));
 }
 
 size_t ScopeRegistry::Unregister(const std::string& key) {
@@ -301,9 +290,8 @@ size_t ScopeRegistry::RetireGeneration(Generation generation) {
 void ScopeRegistry::Clear() {
   ForEachStore(*this, [](auto& store, ScopeType) { store = {}; });
   key_map_.clear();
-  // current_generation_ and next_sequence_ stay monotonic so a stale
-  // generation id can never alias a later logic's registrations and
-  // sequence-based merge order survives a Clear.
+  // current_generation_ stays monotonic so a stale generation id can
+  // never alias a later logic's registrations.
 }
 
 size_t ScopeRegistry::size() const {
@@ -331,7 +319,7 @@ void ScopeRegistry::MaybeCompact() {
     // store: the ratio keeps compaction amortized O(1) per unregister.
     if (store.dead < compaction_threshold_) return;
     if (store.dead * 2 < store.slots.size()) return;
-    Rebuild(store, /*sort_by_sequence=*/false);
+    Rebuild(store);
     ++compactions_;
     moved = true;
   });
@@ -352,7 +340,7 @@ void ScopeRegistry::RebuildKeyMap() {
 
 // --- Indexed matching -------------------------------------------------------
 
-std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
+std::vector<std::string> ScopeRegistry::MatchedKeys(
     const OperatorMetricContext& context, const GraphView& graph) const {
   return IndexedMatch(
       operator_metric_,
@@ -362,7 +350,7 @@ std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
       });
 }
 
-std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
+std::vector<std::string> ScopeRegistry::MatchedKeys(
     const PeMetricContext& context) const {
   const std::string pe = std::to_string(context.pe.value());
   return IndexedMatch(pe_metric_,
@@ -372,7 +360,7 @@ std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
                       });
 }
 
-std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
+std::vector<std::string> ScopeRegistry::MatchedKeys(
     const PeFailureContext& context, const GraphView& graph) const {
   return IndexedMatch(pe_failure_, {&context.application},
                       [&](const PeFailureScope& scope) {
@@ -380,7 +368,7 @@ std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
                       });
 }
 
-std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
+std::vector<std::string> ScopeRegistry::MatchedKeys(
     const JobEventContext& context, bool is_submission) const {
   return IndexedMatch(job_event_, {&context.application},
                       [&](const JobEventScope& scope) {
@@ -388,7 +376,7 @@ std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
                       });
 }
 
-std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
+std::vector<std::string> ScopeRegistry::MatchedKeys(
     const UserEventContext& context) const {
   return IndexedMatch(user_event_, {&context.name},
                       [&](const UserEventScope& scope) {
@@ -396,29 +384,23 @@ std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
                       });
 }
 
-std::vector<std::string> ScopeRegistry::MatchedKeys(
-    const OperatorMetricContext& context, const GraphView& graph) const {
-  return StripSeq(MatchedSeqKeys(context, graph));
+// --- Batch matching ---------------------------------------------------------
+
+std::vector<std::vector<std::string>> ScopeRegistry::MatchOperatorMetricBatch(
+    const std::vector<OperatorMetricContext>& contexts,
+    const GraphView& graph) const {
+  return MatchInParts(contexts, parallel_policy_.min_samples,
+                      [&](const OperatorMetricContext& context) {
+                        return MatchedKeys(context, graph);
+                      });
 }
 
-std::vector<std::string> ScopeRegistry::MatchedKeys(
-    const PeMetricContext& context) const {
-  return StripSeq(MatchedSeqKeys(context));
-}
-
-std::vector<std::string> ScopeRegistry::MatchedKeys(
-    const PeFailureContext& context, const GraphView& graph) const {
-  return StripSeq(MatchedSeqKeys(context, graph));
-}
-
-std::vector<std::string> ScopeRegistry::MatchedKeys(
-    const JobEventContext& context, bool is_submission) const {
-  return StripSeq(MatchedSeqKeys(context, is_submission));
-}
-
-std::vector<std::string> ScopeRegistry::MatchedKeys(
-    const UserEventContext& context) const {
-  return StripSeq(MatchedSeqKeys(context));
+std::vector<std::vector<std::string>> ScopeRegistry::MatchPeMetricBatch(
+    const std::vector<PeMetricContext>& contexts) const {
+  return MatchInParts(contexts, parallel_policy_.min_samples,
+                      [&](const PeMetricContext& context) {
+                        return MatchedKeys(context);
+                      });
 }
 
 // --- Linear-scan reference path ---------------------------------------------

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "orca/event_scope.h"
@@ -13,17 +12,6 @@
 #include "plan/shape_index.h"
 
 namespace orcastream::orca {
-
-/// One matched subscope key together with the registration *sequence
-/// number* of the subscope that produced it. Sequence numbers are assigned
-/// monotonically at registration time, never reused, and preserved across
-/// compaction, so results from two registries whose registrations were
-/// interleaved under one shared counter can be merged back into overall
-/// registration order — the contract ShardedScopeRegistry builds on.
-struct SeqKey {
-  uint64_t sequence = 0;
-  std::string key;
-};
 
 /// Owns every subscope registered with the ORCA service (§4.1) and answers
 /// "which subscope keys does this event match?".
@@ -87,58 +75,11 @@ class ScopeRegistry {
 
   Generation current_generation() const { return current_generation_; }
 
-  /// Aligns the generation counter with a sibling registry's. Only used
-  /// when ShardedScopeRegistry grows a fresh shard at runtime: every shard
-  /// advances its counter in lockstep (BeginGeneration), so a late-born
-  /// shard must join at the wrapper's current generation or its
-  /// RetireGeneration ids would drift from its siblings'.
-  void set_current_generation(Generation generation) {
-    current_generation_ = generation;
-  }
-
-  /// Sequence number the next Register call will stamp its subscope with.
-  /// ShardedScopeRegistry drives the counters of all its shards from one
-  /// global counter (set before every Register) so per-shard results can
-  /// be merged back into overall registration order; a standalone registry
-  /// just consumes its own monotonic counter.
-  uint64_t next_sequence() const { return next_sequence_; }
-  void set_next_sequence(uint64_t sequence) { next_sequence_ = sequence; }
-
   void Clear();
 
   /// Number of live (registered and not unregistered) subscopes.
   size_t size() const;
   bool empty() const { return size() == 0; }
-
-  // --- Subscope migration (shard rebalancing) -----------------------------
-
-  /// One subscope lifted out of a registry with its identity intact: the
-  /// scope itself plus the generation and global sequence number it was
-  /// registered under. InsertExtracted replays it into another registry
-  /// so retirement semantics and sequence-merge order survive the move.
-  struct ExtractedScope {
-    std::variant<OperatorMetricScope, PeMetricScope, PeFailureScope,
-                 JobEventScope, UserEventScope>
-        scope;
-    Generation generation = 0;
-    uint64_t sequence = 0;
-  };
-
-  /// Removes every live subscope registered under the given keys and
-  /// returns them with their generation/sequence stamps, for insertion
-  /// into a sibling registry. The donor registry compacts as needed; its
-  /// match results afterwards are as if the keys had never been
-  /// registered here.
-  std::vector<ExtractedScope> ExtractKeys(
-      const std::vector<std::string>& keys);
-
-  /// Re-registers extracted subscopes preserving their original
-  /// generation and sequence stamps, then restores the per-store
-  /// invariant that live slot positions ascend by sequence (the order
-  /// MatchedSeqKeys and the linear oracle both rely on). Sequences must
-  /// come from the same global counter as this registry's — true for any
-  /// two shards of one ShardedScopeRegistry.
-  void InsertExtracted(std::vector<ExtractedScope> extracted);
 
   // --- Indexed matching (the hot path) ----------------------------------
 
@@ -152,19 +93,32 @@ class ScopeRegistry {
                                        bool is_submission) const;
   std::vector<std::string> MatchedKeys(const UserEventContext& context) const;
 
-  /// Same results as MatchedKeys, annotated with each matching subscope's
-  /// registration sequence number (ascending — registration order within
-  /// one registry is ascending sequence order). This is the shard-facing
-  /// form: ShardedScopeRegistry merges one shard's result with the
-  /// residual shard's by sequence to restore overall registration order.
-  std::vector<SeqKey> MatchedSeqKeys(const OperatorMetricContext& context,
-                                     const GraphView& graph) const;
-  std::vector<SeqKey> MatchedSeqKeys(const PeMetricContext& context) const;
-  std::vector<SeqKey> MatchedSeqKeys(const PeFailureContext& context,
-                                     const GraphView& graph) const;
-  std::vector<SeqKey> MatchedSeqKeys(const JobEventContext& context,
-                                     bool is_submission) const;
-  std::vector<SeqKey> MatchedSeqKeys(const UserEventContext& context) const;
+  // --- Batch matching: one SRM round ----------------------------------
+
+  /// results[i] == MatchedKeys(contexts[i], ...) for every i. The round is
+  /// split into contiguous chunks matched on separate threads when it is
+  /// large enough to pay for them (see ParallelPolicy); the calling thread
+  /// matches one chunk itself. Lookups only read the registry, so the
+  /// chunks share it without locking, and the results are the same on
+  /// every path.
+  std::vector<std::vector<std::string>> MatchOperatorMetricBatch(
+      const std::vector<OperatorMetricContext>& contexts,
+      const GraphView& graph) const;
+  std::vector<std::vector<std::string>> MatchPeMetricBatch(
+      const std::vector<PeMetricContext>& contexts) const;
+
+  /// When a batch spawns threads. `min_samples` is the fewest samples one
+  /// matching thread takes: a round of n samples is matched in
+  /// clamp(n / min_samples, 1, hardware threads) parts, so a small round
+  /// stays on the calling thread and a many-core host never starts a
+  /// thread for fewer than `min_samples` samples.
+  struct ParallelPolicy {
+    size_t min_samples = 1024;
+  };
+  void set_parallel_policy(const ParallelPolicy& policy) {
+    parallel_policy_ = policy;
+  }
+  const ParallelPolicy& parallel_policy() const { return parallel_policy_; }
 
   // --- Linear-scan reference path ----------------------------------------
 
@@ -205,7 +159,6 @@ class ScopeRegistry {
   struct Slot {
     Scope scope;
     Generation generation = 0;
-    uint64_t sequence = 0;
     bool live = true;
   };
 
@@ -240,21 +193,19 @@ class ScopeRegistry {
   template <typename Self, typename Fn>
   static void WithStore(Self& self, ScopeType type, Fn&& fn);
 
-  /// Appends one subscope with the given stamps, indexing it and filing
-  /// it in the key map. Registration stamps the current generation and
-  /// the next sequence; migration replays the extracted stamps.
+  /// Appends one subscope under the current generation, indexing it and
+  /// filing it in the key map.
   template <typename Scope>
-  void Insert(Scope scope, Generation generation, uint64_t sequence);
+  void Insert(Scope scope);
 
   /// Tombstones the slot (and its index entries) if live; updates the
   /// store's dead count.
   template <typename Scope>
   static bool Kill(Store<Scope>& store, uint32_t position);
 
-  /// Replaces the store's slots with its live ones, optionally sorted by
-  /// sequence, and rebuilds its index.
+  /// Replaces the store's slots with its live ones and rebuilds its index.
   template <typename Scope>
-  static void Rebuild(Store<Scope>& store, bool sort_by_sequence);
+  static void Rebuild(Store<Scope>& store);
 
   /// Compacts any store whose dead count passed the threshold, then
   /// rebuilds the key map if anything moved.
@@ -276,9 +227,9 @@ class ScopeRegistry {
   std::unordered_map<std::string, std::vector<SlotRef>> key_map_;
 
   Generation current_generation_ = 0;
-  uint64_t next_sequence_ = 0;
   size_t compaction_threshold_ = 16;
   size_t compactions_ = 0;
+  ParallelPolicy parallel_policy_;
 };
 
 }  // namespace orcastream::orca

@@ -16,9 +16,8 @@ namespace orcastream::plan {
 using AttributeValues = std::vector<std::vector<std::string>>;
 
 /// Counters of the retired compile-time planner. Nothing updates them:
-/// ShardedScopeRegistry::plan_stats() and OrcaService::plan_stats() return
-/// them all-zero, and they remain only because the pipeline benchmark
-/// still reads them.
+/// OrcaService::plan_stats() returns them all-zero, and they remain only
+/// because the pipeline benchmark still reads them.
 struct PlanStats {
   uint64_t plans_compiled = 0;
   uint64_t replans = 0;
@@ -48,8 +47,8 @@ struct PlanStats {
 ///
 /// Threading: Add/Kill/Clear run on the owning thread with lookups
 /// quiesced. Collect is const, writes only its output, and is safe to
-/// call from several threads at once (ShardedScopeRegistry's batch
-/// workers share the residual shard).
+/// call from several threads at once (ScopeRegistry's batch workers share
+/// every store's index).
 class ShapeIndex {
  public:
   /// Attributes past this many are left unindexed (the recheck still

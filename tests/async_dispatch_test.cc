@@ -22,7 +22,6 @@
 #include "orca/event_scope.h"
 #include "orca/orca_service.h"
 #include "orca/orchestrator.h"
-#include "orca/sharded_scope_registry.h"
 #include "sim/simulation.h"
 #include "tests/test_util.h"
 #include "topology/app_builder.h"
@@ -740,7 +739,7 @@ TEST(ThreadPoolDispatchTest, ChurnAndSelfReplacementSoak) {
 
   // The publishing thread owns the registry, exactly as OrcaService does
   // in production: matching happens at publish time, workers only deliver.
-  ShardedScopeRegistry registry(4);
+  ScopeRegistry registry;
   common::Rng rng(1234);
   constexpr int kApps = 6;
   constexpr int64_t kEvents = 4000;

@@ -10,7 +10,6 @@
 #include "baseline/sql_scope_eval.h"
 #include "common/rng.h"
 #include "orca/scope_registry.h"
-#include "orca/sharded_scope_registry.h"
 #include "tests/test_util.h"
 
 namespace orcastream::orca {
@@ -21,11 +20,11 @@ using common::Rng;
 using orcastream::testing::ClusterHarness;
 using topology::AppBuilder;
 
-/// Randomized churn oracle for the scope index: every indexed lookup must
-/// return byte-identical keys to MatchedKeysLinear (and, for samples
-/// grounded in a real job, to the relational SqlScopeEval formulation)
-/// across registration, unregistration, generation retirement, compaction,
-/// and shard migration.
+/// Randomized churn oracle for the scope index: every indexed lookup, one
+/// sample at a time or in a threaded batch, must return byte-identical
+/// keys to MatchedKeysLinear (and, for samples grounded in a real job, to
+/// the relational SqlScopeEval formulation) across registration,
+/// unregistration, generation retirement and compaction.
 class PlanEquivalenceTest : public ::testing::Test {
  protected:
   PlanEquivalenceTest() : cluster_(2) {
@@ -121,6 +120,9 @@ TEST_F(PlanEquivalenceTest, OperatorMetricChurnStaysByteIdentical) {
     Rng rng(seed);
     ScopeRegistry registry;
     registry.set_compaction_threshold(8);  // force compactions mid-stream
+    // A thread per sample: batches of two or more run threaded on any
+    // multi-core host.
+    registry.set_parallel_policy(ScopeRegistry::ParallelPolicy{1});
     std::vector<std::string> live_keys;
     std::vector<ScopeRegistry::Generation> open_generations;
     int next_key = 0;
@@ -154,12 +156,26 @@ TEST_F(PlanEquivalenceTest, OperatorMetricChurnStaysByteIdentical) {
         live_keys = std::move(survivors);
       }
 
+      std::vector<OperatorMetricContext> contexts;
       for (int i = 0; i < 25; ++i) {
         OperatorMetricContext context = RandomOperatorMetricContext(rng);
         EXPECT_EQ(registry.MatchedKeys(context, view_),
                   registry.MatchedKeysLinear(context, view_))
             << "seed=" << seed << " round=" << round
             << " app=" << context.application << " metric=" << context.metric;
+        contexts.push_back(std::move(context));
+      }
+      // The same samples as one batch, its size cycling through 0..25
+      // across rounds so empty, single-sample and unevenly split batches
+      // all run between the churn steps.
+      contexts.resize(static_cast<size_t>(round) % (contexts.size() + 1));
+      auto batched = registry.MatchOperatorMetricBatch(contexts, view_);
+      ASSERT_EQ(batched.size(), contexts.size());
+      for (size_t i = 0; i < contexts.size(); ++i) {
+        EXPECT_EQ(batched[i], registry.MatchedKeys(contexts[i], view_))
+            << "seed=" << seed << " round=" << round << " batch sample " << i;
+        EXPECT_EQ(batched[i], registry.MatchedKeysLinear(contexts[i], view_))
+            << "seed=" << seed << " round=" << round << " batch sample " << i;
       }
     }
     EXPECT_GT(registry.compaction_count(), 0u);
@@ -215,109 +231,6 @@ TEST_F(PlanEquivalenceTest, PeMetricChurnAgreesWithLinearAndSql) {
       EXPECT_EQ(indexed_sorted, sql_keys)
           << "round=" << round << " pe=" << context.pe.value()
           << " metric=" << context.metric;
-    }
-  }
-}
-
-TEST_F(PlanEquivalenceTest, ShardedChurnWithMigrationsStaysByteIdentical) {
-  for (uint64_t seed : {3u, 4242u}) {
-    Rng rng(seed);
-    ShardedScopeRegistry sharded(2);
-    sharded.set_max_shards(6);
-    ShardedScopeRegistry::ReshardPolicy reshard;
-    reshard.enabled = true;
-    reshard.hot_ratio = 1.5;
-    reshard.min_matches = 64;  // low gate: splits happen mid-test
-    sharded.set_reshard_policy(reshard);
-    // Mirror single registry fed the identical stream; its linear scan is
-    // the oracle both for sharding and for the index.
-    ScopeRegistry mirror;
-    std::vector<std::string> live_keys;
-    int next_key = 0;
-
-    for (int round = 0; round < 25; ++round) {
-      for (int i = 0; i < 8; ++i) {
-        std::string key = "s" + std::to_string(next_key++);
-        OperatorMetricScope scope = RandomOperatorMetricScope(rng, key);
-        OperatorMetricScope copy = scope;
-        sharded.Register(std::move(scope));
-        mirror.Register(std::move(copy));
-        live_keys.push_back(key);
-      }
-      for (int i = 0; i < 3 && !live_keys.empty(); ++i) {
-        size_t victim = static_cast<size_t>(rng.UniformInt(
-            0, static_cast<int64_t>(live_keys.size()) - 1));
-        sharded.Unregister(live_keys[victim]);
-        mirror.Unregister(live_keys[victim]);
-        live_keys.erase(live_keys.begin() + static_cast<long>(victim));
-      }
-      // Forced migration plus policy-driven splitting mid-stream: the
-      // indexes of both the source and destination shards must follow.
-      if (rng.Bernoulli(0.4)) {
-        sharded.MigrateApplication(
-            Pick(rng, kApps),
-            static_cast<size_t>(rng.UniformInt(
-                0, static_cast<int64_t>(sharded.shard_count()) - 1)));
-      }
-      sharded.MaybeRebalance();
-
-      for (int i = 0; i < 30; ++i) {
-        OperatorMetricContext context = RandomOperatorMetricContext(rng);
-        EXPECT_EQ(sharded.MatchedKeys(context, view_),
-                  mirror.MatchedKeysLinear(context, view_))
-            << "seed=" << seed << " round=" << round
-            << " shards=" << sharded.shard_count();
-      }
-    }
-
-    // Heat phase: random churn co-pins the four apps into one migration
-    // group (multi-application filters), which can never split, so force
-    // the policy-driven growth path deterministically. Drain the churn
-    // population first — that severs the co-pin closure and drops every
-    // route — then pin two apps with *single-app* subscopes onto shard 0,
-    // skew traffic onto one of them, and let MaybeRebalance isolate it on
-    // a freshly grown shard. The indexes of both the source and the new
-    // shard must follow: every lookup keeps checking byte-identity against
-    // the mirror's linear scan.
-    for (const std::string& key : live_keys) {
-      sharded.Unregister(key);
-      mirror.Unregister(key);
-    }
-    live_keys.clear();
-    for (int i = 0; i < 4; ++i) {
-      std::string key = "hot" + std::to_string(next_key++);
-      OperatorMetricScope scope(key);
-      scope.AddOperatorMetric(kMetrics[static_cast<size_t>(i) %
-                                       kMetrics.size()]);
-      scope.AddApplicationFilter(i < 2 ? "Figure2" : "OtherApp");
-      OperatorMetricScope copy = scope;
-      sharded.Register(std::move(scope));
-      mirror.Register(std::move(copy));
-      live_keys.push_back(key);
-    }
-    sharded.MigrateApplication("Figure2", 0);
-    sharded.MigrateApplication("OtherApp", 0);
-    size_t before_growth = sharded.shard_count();
-    for (int round = 0; round < 8 && sharded.shard_count() <= before_growth;
-         ++round) {
-      for (int i = 0; i < 120; ++i) {
-        OperatorMetricContext context = RandomOperatorMetricContext(rng);
-        context.application = i % 12 == 0 ? "OtherApp" : "Figure2";
-        EXPECT_EQ(sharded.MatchedKeys(context, view_),
-                  mirror.MatchedKeysLinear(context, view_))
-            << "seed=" << seed << " heat round=" << round;
-      }
-      sharded.MaybeRebalance();
-    }
-    EXPECT_GT(sharded.shard_count(), before_growth)
-        << "no split happened; seed=" << seed;
-    // Post-split: the grown shard answers from its own index.
-    for (int i = 0; i < 30; ++i) {
-      OperatorMetricContext context = RandomOperatorMetricContext(rng);
-      context.application = "Figure2";
-      EXPECT_EQ(sharded.MatchedKeys(context, view_),
-                mirror.MatchedKeysLinear(context, view_))
-          << "seed=" << seed << " post-split";
     }
   }
 }

@@ -106,29 +106,69 @@ class ScopeRegistryTest : public ::testing::Test {
       "op1", "c1a.op3", "c1a.op6", "c2.op7", "c2.nested.op3", "c2.nested.op6",
       "snk", "ghost"};
 
+  /// Checks a batch call against per-sample lookups and the linear scan
+  /// for an empty batch, one sample, and the first 499 contexts: 499 is
+  /// prime, so no part count a host picks divides it evenly.
+  template <typename Context, typename Batch, typename Indexed,
+            typename Linear>
+  void ExpectBatchMatchesPerSample(const std::vector<Context>& contexts,
+                                   Batch batch, Indexed indexed,
+                                   Linear linear) {
+    for (size_t size : {size_t{0}, size_t{1}, size_t{499}}) {
+      ASSERT_LE(size, contexts.size());
+      std::vector<Context> round(contexts.begin(),
+                                 contexts.begin() + static_cast<long>(size));
+      std::vector<std::vector<std::string>> batched = batch(round);
+      ASSERT_EQ(batched.size(), size);
+      for (size_t i = 0; i < size; ++i) {
+        EXPECT_EQ(batched[i], indexed(round[i])) << "batch " << size;
+        EXPECT_EQ(batched[i], linear(round[i])) << "batch " << size;
+      }
+    }
+  }
+
   ClusterHarness cluster_;
   common::JobId job_;
   GraphView view_;
 };
 
+/// A batch policy that starts threads for any round of two or more
+/// samples on a multi-core host.
+constexpr ScopeRegistry::ParallelPolicy kThreadPerSample{/*min_samples=*/1};
+
 TEST_F(ScopeRegistryTest, RandomizedOperatorMetricEquivalence) {
   Rng rng(20260728);
   ScopeRegistry registry;
+  registry.set_parallel_policy(kThreadPerSample);
   for (int i = 0; i < 200; ++i) {
     registry.Register(RandomOperatorMetricScope(rng, "s" + std::to_string(i)));
   }
+  std::vector<OperatorMetricContext> contexts;
   for (int i = 0; i < 500; ++i) {
     OperatorMetricContext context = RandomOperatorMetricContext(rng);
     EXPECT_EQ(registry.MatchedKeys(context, view_),
               registry.MatchedKeysLinear(context, view_))
         << "divergence on context app=" << context.application
         << " op=" << context.instance_name << " metric=" << context.metric;
+    contexts.push_back(std::move(context));
   }
+  ExpectBatchMatchesPerSample(
+      contexts,
+      [&](const std::vector<OperatorMetricContext>& round) {
+        return registry.MatchOperatorMetricBatch(round, view_);
+      },
+      [&](const OperatorMetricContext& context) {
+        return registry.MatchedKeys(context, view_);
+      },
+      [&](const OperatorMetricContext& context) {
+        return registry.MatchedKeysLinear(context, view_);
+      });
 }
 
 TEST_F(ScopeRegistryTest, RandomizedPeMetricEquivalence) {
   Rng rng(7);
   ScopeRegistry registry;
+  registry.set_parallel_policy(kThreadPerSample);
   for (int i = 0; i < 150; ++i) {
     PeMetricScope scope("p" + std::to_string(i));
     if (rng.Bernoulli(0.5)) scope.AddMetricNameFilter(Pick(rng, kMetrics));
@@ -137,6 +177,7 @@ TEST_F(ScopeRegistryTest, RandomizedPeMetricEquivalence) {
     if (rng.Bernoulli(0.5)) scope.AddApplicationFilter(Pick(rng, kApps));
     registry.Register(std::move(scope));
   }
+  std::vector<PeMetricContext> contexts;
   for (int i = 0; i < 500; ++i) {
     PeMetricContext context;
     context.job = job_;
@@ -145,7 +186,19 @@ TEST_F(ScopeRegistryTest, RandomizedPeMetricEquivalence) {
     context.metric = Pick(rng, kMetrics);
     EXPECT_EQ(registry.MatchedKeys(context),
               registry.MatchedKeysLinear(context));
+    contexts.push_back(std::move(context));
   }
+  ExpectBatchMatchesPerSample(
+      contexts,
+      [&](const std::vector<PeMetricContext>& round) {
+        return registry.MatchPeMetricBatch(round);
+      },
+      [&](const PeMetricContext& context) {
+        return registry.MatchedKeys(context);
+      },
+      [&](const PeMetricContext& context) {
+        return registry.MatchedKeysLinear(context);
+      });
 }
 
 TEST_F(ScopeRegistryTest, RandomizedFailureJobAndUserEquivalence) {
@@ -510,103 +563,6 @@ TEST_F(ScopeRegistryTest, RandomizedChurnEquivalence) {
   check_equivalence();
   // The churn volume must have driven tombstone reclamation.
   EXPECT_GT(registry.compaction_count(), 0u);
-}
-
-// --- Subscope migration edge cases (ExtractKeys / InsertExtracted) ----------
-// The churn suite exercises steady-state migration; these pin down the
-// boundaries: empty extractions, re-insertion into the donor itself, and
-// extraction interleaved with a generation retire.
-
-TEST_F(ScopeRegistryTest, ExtractZeroKeysIsANoOp) {
-  ScopeRegistry registry;
-  registry.Register(UserEventScope("keep"));
-
-  EXPECT_TRUE(registry.ExtractKeys({}).empty());
-  // Unknown keys extract nothing and disturb nothing.
-  EXPECT_TRUE(registry.ExtractKeys({"ghost", "phantom"}).empty());
-  EXPECT_EQ(registry.size(), 1u);
-  // The degenerate replay (a migration that moved nothing) is also a
-  // no-op.
-  registry.InsertExtracted({});
-
-  UserEventContext context;
-  context.name = "poke";
-  EXPECT_EQ(registry.MatchedKeys(context),
-            (std::vector<std::string>{"keep"}));
-  EXPECT_EQ(registry.MatchedKeys(context),
-            registry.MatchedKeysLinear(context));
-}
-
-TEST_F(ScopeRegistryTest, ReinsertingExtractedIntoSourceRestoresOrder) {
-  ScopeRegistry registry;
-  for (int i = 0; i < 6; ++i) {
-    registry.Register(UserEventScope("u" + std::to_string(i)));
-  }
-  UserEventContext context;
-  context.name = "poke";
-
-  // A split that gets rolled back: the subscopes return to the shard
-  // they were lifted from.
-  auto extracted = registry.ExtractKeys({"u1", "u4"});
-  EXPECT_EQ(extracted.size(), 2u);
-  EXPECT_EQ(registry.size(), 4u);
-  EXPECT_EQ(registry.MatchedKeys(context),
-            (std::vector<std::string>{"u0", "u2", "u3", "u5"}));
-
-  registry.InsertExtracted(std::move(extracted));
-  EXPECT_EQ(registry.size(), 6u);
-  // Original registration order (ascending sequence), not append order:
-  // the returning subscopes slot back between their old neighbors.
-  EXPECT_EQ(registry.MatchedKeys(context),
-            (std::vector<std::string>{"u0", "u1", "u2", "u3", "u4", "u5"}));
-  EXPECT_EQ(registry.MatchedKeys(context),
-            registry.MatchedKeysLinear(context));
-  // The restored keys are individually addressable again.
-  EXPECT_EQ(registry.Unregister("u4"), 1u);
-  EXPECT_EQ(registry.MatchedKeys(context),
-            (std::vector<std::string>{"u0", "u1", "u2", "u3", "u5"}));
-}
-
-TEST_F(ScopeRegistryTest, ExtractionInterleavedWithGenerationRetire) {
-  // A hot-shard split racing a ReplaceLogic: subscopes leave the donor
-  // while their generation is being retired. Whichever registry holds a
-  // subscope when RetireGeneration reaches it must claim it — exactly
-  // once, and the stamp travels with the extraction.
-  ScopeRegistry donor;
-  ScopeRegistry recipient;
-  ScopeRegistry::Generation generation = donor.BeginGeneration();
-  recipient.set_current_generation(generation);
-  donor.Register(UserEventScope("moving"));
-  donor.Register(UserEventScope("staying"));
-
-  // Keys leave the donor first...
-  auto moved = donor.ExtractKeys({"moving"});
-  ASSERT_EQ(moved.size(), 1u);
-  EXPECT_EQ(moved.front().generation, generation);
-
-  // ...then the retire sweeps the donor: only what remained is claimed.
-  EXPECT_EQ(donor.RetireGeneration(generation), 1u);
-  EXPECT_TRUE(donor.empty());
-
-  // The migrated subscope kept its stamp, so completing the retire on
-  // the recipient after insertion removes it there — the replace loses
-  // no scope and leaks no scope, whichever side the sweep hits first.
-  recipient.InsertExtracted(std::move(moved));
-  EXPECT_EQ(recipient.size(), 1u);
-  UserEventContext context;
-  context.name = "poke";
-  EXPECT_EQ(recipient.MatchedKeys(context),
-            (std::vector<std::string>{"moving"}));
-  EXPECT_EQ(recipient.RetireGeneration(generation), 1u);
-  EXPECT_TRUE(recipient.empty());
-  EXPECT_TRUE(recipient.MatchedKeys(context).empty());
-
-  // The reverse interleaving: a subscope already retired cannot be
-  // extracted afterwards (the migration sees the post-retire registry).
-  ScopeRegistry::Generation next = donor.BeginGeneration();
-  donor.Register(UserEventScope("gone"));
-  EXPECT_EQ(donor.RetireGeneration(next), 1u);
-  EXPECT_TRUE(donor.ExtractKeys({"gone"}).empty());
 }
 
 TEST_F(ScopeRegistryTest, ClearEmptiesEverything) {

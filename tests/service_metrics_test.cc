@@ -181,14 +181,12 @@ TEST(ServiceMetricsTest, EpochsAdvanceMonotonically) {
   EXPECT_GE(logic->pe_events.back().epoch, 4);
 }
 
-/// Satellite: the shard/queue observability surface. Shard loads track
-/// where subscopes live and which shard absorbs the match volume; queue
-/// stats expose per-application depth/delivered/backlog-age under async
-/// dispatch (and stay empty on the serial path).
-TEST(ServiceMetricsTest, ShardAndQueueObservability) {
+/// The queue observability surface: queue stats expose per-application
+/// depth/delivered/backlog-age under async dispatch (and stay empty on the
+/// serial path).
+TEST(ServiceMetricsTest, QueueObservability) {
   ClusterHarness cluster(3);
   OrcaService::Config service_config;
-  service_config.scope_shards = 2;
   service_config.dispatch_executor =
       std::make_shared<DeterministicExecutor>(&cluster.sim(), /*seed=*/3);
   OrcaService service(&cluster.sim(), &cluster.sam(), &cluster.srm(),
@@ -202,23 +200,6 @@ TEST(ServiceMetricsTest, ShardAndQueueObservability) {
   ASSERT_TRUE(service.Load(std::move(logic_holder)).ok());
   cluster.sim().RunUntil(35);
   ASSERT_FALSE(logic->pe_events.empty());
-
-  // Shard loads: one row per shard plus the residual row; subscope
-  // occupancy sums to the registry size, and the pull rounds charged
-  // match volume somewhere (the PE-metric scope above is app-filterless,
-  // i.e. residual).
-  auto loads = service.shard_loads();
-  ASSERT_EQ(loads.size(), service.scopes().shard_count() + 1);
-  size_t subscopes = 0;
-  uint64_t matches = 0;
-  for (const auto& load : loads) {
-    subscopes += load.subscopes;
-    matches += load.matches;
-  }
-  EXPECT_EQ(subscopes, service.scopes().size());
-  EXPECT_GT(matches, 0u);
-  EXPECT_EQ(service.reshard_count(), 0u);  // volume below the floor
-  EXPECT_EQ(service.migrated_subscopes(), 0u);
 
   // Queue stats: the simulation is quiescent, so every queue drained;
   // per-queue delivered counts add up to the service total, and the
@@ -245,8 +226,6 @@ TEST(ServiceMetricsTest, ShardAndQueueObservability) {
   EXPECT_TRUE(serial.queue_stats().empty());
   EXPECT_EQ(serial.app_queue_depth("App"), 0u);
   EXPECT_EQ(serial.app_queue_backlog_age("App"), 0.0);
-  EXPECT_EQ(serial.shard_loads().size(),
-            serial.scopes().shard_count() + 1);
 }
 
 }  // namespace

@@ -100,6 +100,34 @@ TEST(XmlParseTest, RejectsGarbage) {
   EXPECT_FALSE(ParseXml("").ok());
 }
 
+/// `depth` nested <a> elements, the innermost empty.
+std::string NestedDocument(int depth) {
+  std::string xml;
+  for (int i = 0; i < depth; ++i) xml += "<a>";
+  for (int i = 0; i < depth; ++i) xml += "</a>";
+  return xml;
+}
+
+TEST(XmlParseTest, NestingAtTheDepthLimitParses) {
+  auto root = ParseXml(NestedDocument(XmlElement::kMaxDepth));
+  ASSERT_TRUE(root.ok()) << root.status();
+  int depth = 1;
+  for (const XmlElement* e = root->get(); !e->children().empty();
+       e = e->children().front().get()) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, XmlElement::kMaxDepth);
+}
+
+TEST(XmlParseTest, RejectsNestingPastTheDepthLimit) {
+  auto one_over = ParseXml(NestedDocument(XmlElement::kMaxDepth + 1));
+  EXPECT_EQ(one_over.status().code(), StatusCode::kParseError);
+  // Deep enough to overflow an 8 MiB stack if the parser recursed all the
+  // way down.
+  auto hostile = ParseXml(NestedDocument(100000));
+  EXPECT_EQ(hostile.status().code(), StatusCode::kParseError);
+}
+
 TEST(XmlParseTest, MissingAttributeIsNotFound) {
   auto parsed = ParseXml("<a/>");
   ASSERT_TRUE(parsed.ok());
